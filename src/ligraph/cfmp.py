@@ -435,6 +435,8 @@ def _check_distribution(space: ComponentSpace, pi) -> np.ndarray:
         raise ValueError(
             f"distribution must have length {space.n_states}, got shape {pi.shape}"
         )
+    if not np.all(np.isfinite(pi)):
+        raise ValueError("distribution has non-finite entries")
     if np.any(pi < 0):
         raise ValueError("distribution has negative mass")
     if abs(float(pi.sum()) - 1.0) > 1e-12:
@@ -611,8 +613,8 @@ def simulate(spec: CfmpSpec, pi, horizon: float, seed: int) -> Trajectory:
     to its rate.  Deterministic given the seed.  An absorbing state
     simply holds until the horizon."""
     ensure_valid(spec)
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not (0 < horizon < math.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     space = spec.space
     pi = _check_distribution(space, pi)
     rng = np.random.default_rng(seed)
@@ -778,14 +780,24 @@ def spec_to_json_dict(spec: CfmpSpec) -> dict:
     return {"components": comps, "intensities": intens}
 
 
+def _field(obj, key: str, convert, where: str):
+    """``convert(obj[key])``, with a missing key or bad value as ValueError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} must be an object with {key!r}")
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: bad {key!r}: {obj[key]!r}") from None
+
+
 def spec_from_json_dict(data: dict) -> CfmpSpec:
     if not isinstance(data, dict) or "components" not in data:
         raise ValueError("process spec JSON must be an object with 'components'")
     names = []
     cards = []
-    for comp in data["components"]:
-        names.append(str(comp["name"]))
-        cards.append(int(comp["states"]))
+    for i, comp in enumerate(data["components"]):
+        names.append(_field(comp, "name", str, f"component {i}"))
+        cards.append(_field(comp, "states", int, f"component {i}"))
     space = ComponentSpace(tuple(names), tuple(cards))
     intens_data = data.get("intensities", {})
     intensities = {}
@@ -794,6 +806,10 @@ def spec_from_json_dict(data: dict) -> CfmpSpec:
         deps = tuple(str(d) for d in entry.get("depends_on", ()))
         rows = []
         for raw in entry.get("table", ()):
+            where = f"{name}: rate table row"
+            source = _field(raw, "from", int, where)
+            target = _field(raw, "to", int, where)
+            rate = _field(raw, "rate", float, where)
             given_map = raw.get("given", {})
             if set(given_map) != set(deps):
                 raise ValueError(
@@ -803,9 +819,9 @@ def spec_from_json_dict(data: dict) -> CfmpSpec:
             rows.append(
                 RateRow(
                     given=tuple(int(given_map[d]) for d in deps),
-                    source=int(raw["from"]),
-                    target=int(raw["to"]),
-                    rate=float(raw["rate"]),
+                    source=source,
+                    target=target,
+                    rate=rate,
                 )
             )
         intensities[name] = ComponentIntensity(deps, tuple(rows))

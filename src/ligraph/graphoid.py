@@ -23,10 +23,28 @@ The derived properties are:
 - guarded right decomposition: plain right decomposition under the two
   sufficient side conditions that make it sound.
 
-Instances are evaluated against a truth table held in "rank space"
-with numpy, so exhaustive sweeps over thousands of graphs stay fast.
-Reported counterexamples replay through the raw oracle via
-``violates``.
+Each property is declared once, in the ``_RULES`` table: its quantified
+variable names (``"AB"``, ``"ABC"`` or ``"ABCD"``) and one rule
+``rule(x, A, B, ...) -> (side_condition, premise, conclusion)``.  An
+instance is a violation when the side condition and premise hold and
+the conclusion fails.  Rules are written with the set operators ``|``,
+``&``, ``-`` and ``<=`` and three hooks of the backend ``x``:
+``x.q(a, b, c)`` queries the relation, ``x.disjoint(*sets)`` tests
+pairwise disjointness and ``x.forall(S, clause)`` requires
+``clause(k)`` for every singleton ``k`` of ``S``.  Two backends run the
+same rules:
+
+- rank space (``check_axiom`` / ``check_derived``): every quantified
+  set is an array of subset ranks, and the whole lattice is evaluated
+  at once with numpy against a precomputed truth table, so exhaustive
+  sweeps over thousands of graphs stay fast;
+- replay (``violates``): the sets are frozensets and ``q`` is the raw
+  oracle, which re-checks a reported counterexample independently of
+  the truth table.
+
+To add a property: add the enum member, add its rule to ``_RULES``, and
+add the matching entry to the independent slow checker in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -230,6 +248,8 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
             f"refusing axiom enumeration over {len(ground)} ground elements "
             f"(limit {MAX_AXIOM_GROUND})"
         )
+    if len(set(ground)) != len(ground):
+        raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
     size = t.size
     sets = [t.set_of(r) for r in range(size)]
@@ -274,142 +294,117 @@ def _axes(size: int, k: int):
     return out
 
 
-def _evaluate_axiom(tt: TruthTable, ax: Axiom):
-    """Return (violations, structural domain, evaluability, var names)."""
-    t = tt.tables
-    V, E = tt.values, tt.evaluable
-    S = t.size
-    U, N, SUB = t.union, t.inter, t.subset
-
-    if ax in (Axiom.LEFT_REDUNDANCY, Axiom.RIGHT_REDUNDANCY):
-        A, B = _axes(S, 2)
-        C = A if ax is Axiom.LEFT_REDUNDANCY else B
-        struct = np.ones((S, S), dtype=bool)
-        ev = E[A, B, C]
-        return ev & ~V[A, B, C], struct, ev, "AB"
-
-    if ax in (Axiom.LEFT_INTERSECTION, Axiom.RIGHT_INTERSECTION):
-        A, B, C = _axes(S, 3)
-        if ax is Axiom.LEFT_INTERSECTION:
-            p2 = (C, B, A)
-            concl = (U[A, C], B, N[A, C])
-        else:
-            p2 = (A, C, B)
-            concl = (A, U[B, C], N[B, C])
-        struct = np.ones((S, S, S), dtype=bool)
-        ev = E[A, B, C] & E[p2] & E[concl]
-        viol = ev & V[A, B, C] & V[p2] & ~V[concl]
-        return viol, struct, ev, "ABC"
-
-    A, B, C, D = _axes(S, 4)
-    p2 = None
-    if ax is Axiom.LEFT_DECOMPOSITION:
-        struct = SUB[D, A]
-        concl = (D, B, C)
-    elif ax is Axiom.RIGHT_DECOMPOSITION:
-        struct = SUB[D, B]
-        concl = (A, D, C)
-    elif ax is Axiom.LEFT_WEAK_UNION:
-        struct = SUB[D, A]
-        concl = (A, B, U[C, D])
-    elif ax is Axiom.RIGHT_WEAK_UNION:
-        struct = SUB[D, B]
-        concl = (A, B, U[C, D])
-    elif ax is Axiom.LEFT_CONTRACTION:
-        struct = np.ones((1,) * 4, dtype=bool)
-        p2 = (D, B, U[A, C])
-        concl = (U[A, D], B, C)
-    elif ax is Axiom.RIGHT_CONTRACTION:
-        struct = np.ones((1,) * 4, dtype=bool)
-        p2 = (A, D, U[B, C])
-        concl = (A, U[B, D], C)
-    else:
-        raise ValueError(f"not an axiom: {ax}")
-
-    premise = V[A, B, C]
-    ev = E[A, B, C] & E[concl]
-    if p2 is not None:
-        premise = premise & V[p2]
-        ev = ev & E[p2]
-    viol = struct & ev & premise & ~V[concl]
-    return viol, struct, ev, "ABCD"
+# --- property declarations --------------------------------------------------
 
 
-def _evaluate_derived(tt: TruthTable, prop: DerivedProperty):
-    t = tt.tables
-    V, E = tt.values, tt.evaluable
-    S = t.size
-    U, SUB, DIS, DIFF = t.union, t.subset, t.disjoint, t.diff
-    M = t.masks
+def _guarded_right_decomposition(x, A, B, C, D):
+    # right decomposition is sound when B is irrelevant for D given A|C,
+    # or when every k in C-D is irrelevant from A or to B given the rest
+    CD = C | D
+    guard = x.q(B, D, A | C) | (
+        x.q(B, A - CD, CD)
+        & x.forall(C - D, lambda k: x.q(A, k, (C - k) | B) | x.q(B, k, (C - k) | D | A))
+    )
+    return (D <= B) & ((A & B) <= CD), guard & x.q(A, B, C), x.q(A, D, C)
 
-    if prop in (DerivedProperty.LEFT_TRIM, DerivedProperty.RIGHT_TRIM):
-        A, B, C = _axes(S, 3)
-        if prop is DerivedProperty.LEFT_TRIM:
-            other = (DIFF[A, C], B, C)
-        else:
-            other = (A, DIFF[B, C], C)
-        struct = np.ones((S, S, S), dtype=bool)
-        ev = E[A, B, C] & E[other]
-        viol = ev & (V[A, B, C] != V[other])
-        return viol, struct, ev, "ABC"
 
-    A, B, C, D = _axes(S, 4)
-    if prop in (
-        DerivedProperty.LEFT_DISJOINT_INTERSECTION,
-        DerivedProperty.RIGHT_DISJOINT_INTERSECTION,
-        DerivedProperty.OVERLAP_TOLERANT_INTERSECTION,
-    ):
-        if prop is DerivedProperty.OVERLAP_TOLERANT_INTERSECTION:
-            struct = DIS[B, C] & DIS[B, D] & DIS[C, D] & DIS[A, D]
-        else:
-            struct = (
-                DIS[A, B] & DIS[A, C] & DIS[A, D]
-                & DIS[B, C] & DIS[B, D] & DIS[C, D]
-            )
-        if prop is DerivedProperty.LEFT_DISJOINT_INTERSECTION:
-            p1 = (A, B, U[C, D])
-            p2 = (C, B, U[A, D])
-            concl = (U[A, C], B, D)
-        else:
-            p1 = (A, B, U[C, D])
-            p2 = (A, C, U[B, D])
-            concl = (A, U[B, C], D)
-        ev = E[p1] & E[p2] & E[concl]
-        viol = struct & ev & V[p1] & V[p2] & ~V[concl]
-        return viol, struct, ev, "ABCD"
+# property -> (quantified variable names, rule); see the module docstring.
+_RULES = {
+    Axiom.LEFT_REDUNDANCY: ("AB", lambda x, A, B: (True, True, x.q(A, B, A))),
+    Axiom.RIGHT_REDUNDANCY: ("AB", lambda x, A, B: (True, True, x.q(A, B, B))),
+    Axiom.LEFT_DECOMPOSITION: ("ABCD", lambda x, A, B, C, D: (
+        D <= A, x.q(A, B, C), x.q(D, B, C))),
+    Axiom.RIGHT_DECOMPOSITION: ("ABCD", lambda x, A, B, C, D: (
+        D <= B, x.q(A, B, C), x.q(A, D, C))),
+    Axiom.LEFT_WEAK_UNION: ("ABCD", lambda x, A, B, C, D: (
+        D <= A, x.q(A, B, C), x.q(A, B, C | D))),
+    Axiom.RIGHT_WEAK_UNION: ("ABCD", lambda x, A, B, C, D: (
+        D <= B, x.q(A, B, C), x.q(A, B, C | D))),
+    Axiom.LEFT_CONTRACTION: ("ABCD", lambda x, A, B, C, D: (
+        True, x.q(A, B, C) & x.q(D, B, A | C), x.q(A | D, B, C))),
+    Axiom.RIGHT_CONTRACTION: ("ABCD", lambda x, A, B, C, D: (
+        True, x.q(A, B, C) & x.q(A, D, B | C), x.q(A, B | D, C))),
+    Axiom.LEFT_INTERSECTION: ("ABC", lambda x, A, B, C: (
+        True, x.q(A, B, C) & x.q(C, B, A), x.q(A | C, B, A & C))),
+    Axiom.RIGHT_INTERSECTION: ("ABC", lambda x, A, B, C: (
+        True, x.q(A, B, C) & x.q(A, C, B), x.q(A, B | C, B & C))),
+    DerivedProperty.LEFT_TRIM: ("ABC", lambda x, A, B, C: (
+        True, True, x.q(A, B, C) == x.q(A - C, B, C))),
+    DerivedProperty.RIGHT_TRIM: ("ABC", lambda x, A, B, C: (
+        True, True, x.q(A, B, C) == x.q(A, B - C, C))),
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: ("ABCD", lambda x, A, B, C, D: (
+        x.disjoint(A, B, C, D), x.q(A, B, C | D) & x.q(C, B, A | D), x.q(A | C, B, D))),
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: ("ABCD", lambda x, A, B, C, D: (
+        x.disjoint(A, B, C, D), x.q(A, B, C | D) & x.q(A, C, B | D), x.q(A, B | C, D))),
+    DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: ("ABCD", lambda x, A, B, C, D: (
+        D <= B, x.q(A, B, C), x.q(A, D, (C | B) - D))),
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: ("ABCD", lambda x, A, B, C, D: (
+        x.disjoint(B, C, D) & x.disjoint(A, D),
+        x.q(A, B, C | D) & x.q(A, C, B | D),
+        x.q(A, B | C, D))),
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", _guarded_right_decomposition),
+}
 
-    if prop is DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION:
-        struct = SUB[D, B]
-        concl = (A, D, DIFF[U[C, B], D])
-        ev = E[A, B, C] & E[concl]
-        viol = struct & ev & V[A, B, C] & ~V[concl]
-        return viol, struct, ev, "ABCD"
 
-    if prop is DerivedProperty.GUARDED_RIGHT_DECOMPOSITION:
-        Am, Bm, Cm, Dm = M[A], M[B], M[C], M[D]
-        struct = SUB[D, B] & ((Am & Bm & ~(Cm | Dm)) == 0)
-        ucd = U[C, D]
-        guard_i = V[B, D, U[A, C]]
-        guard_ii = V[B, DIFF[A, ucd], ucd]
-        ev = (
-            E[A, B, C] & E[A, D, C]
-            & E[B, D, U[A, C]] & E[B, DIFF[A, ucd], ucd]
-        )
+# --- rank-space backend -------------------------------------------------------
+
+
+class _Ranks:
+    """A quantified set as an array of subset ranks; operators are table lookups."""
+
+    __slots__ = ("t", "r")
+
+    def __init__(self, t: _Tables, r):
+        self.t = t
+        self.r = r
+
+    def __or__(self, other: "_Ranks") -> "_Ranks":
+        return _Ranks(self.t, self.t.union[self.r, other.r])
+
+    def __and__(self, other: "_Ranks") -> "_Ranks":
+        return _Ranks(self.t, self.t.inter[self.r, other.r])
+
+    def __sub__(self, other: "_Ranks") -> "_Ranks":
+        return _Ranks(self.t, self.t.diff[self.r, other.r])
+
+    def __le__(self, other: "_Ranks") -> np.ndarray:
+        return self.t.subset[self.r, other.r]
+
+
+class _RankSpace:
+    """Rule backend over a truth table.  ``q`` returns the table's answers
+    and ANDs the queried cells' evaluability into ``evaluable``."""
+
+    def __init__(self, tt: TruthTable):
+        self.tt = tt
+        # seeded with a numpy bool so masks stay boolean (Python's ~True is -2)
+        self.evaluable = np.True_
+
+    def q(self, a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
+        self.evaluable = self.evaluable & self.tt.evaluable[a.r, b.r, c.r]
+        return self.tt.values[a.r, b.r, c.r]
+
+    def disjoint(self, *sets: _Ranks) -> np.ndarray:
+        table = self.tt.tables.disjoint
+        out = np.True_
+        for i, a in enumerate(sets):
+            for b in sets[i + 1 :]:
+                out = out & table[a.r, b.r]
+        return out
+
+    def forall(self, s: _Ranks, clause) -> np.ndarray:
+        # clause(k) and its evaluability count only where k is in s
+        t = self.tt.tables
+        outer = self.evaluable
+        holds = np.True_
         for bit_index in range(t.n):
-            bit = 1 << bit_index
-            k = int(t.rank_of[bit])
-            applies = ((Cm & bit) != 0) & ((Dm & bit) == 0)
-            c_minus_k = t.rank_of[Cm & ~bit]
-            cl1 = (A, k, U[c_minus_k, B])
-            cl2 = (B, k, U[U[c_minus_k, D], A])
-            clause = V[cl1] | V[cl2]
-            guard_ii = guard_ii & np.where(applies, clause, True)
-            ev = ev & np.where(applies, E[cl1] & E[cl2], True)
-        guard = guard_i | guard_ii
-        viol = struct & ev & guard & V[A, B, C] & ~V[A, D, C]
-        return viol, struct, ev, "ABCD"
-
-    raise ValueError(f"unknown derived property: {prop}")
+            k = _Ranks(t, t.rank_of[1 << bit_index])
+            skip = ~(k <= s)
+            self.evaluable = np.True_
+            holds = holds & (clause(k) | skip)
+            outer = outer & (self.evaluable | skip)
+        self.evaluable = outer
+        return holds
 
 
 def _first_violation(viol: np.ndarray) -> tuple[int, ...] | None:
@@ -420,13 +415,24 @@ def _first_violation(viol: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(x) for x in np.unravel_index(idx, viol.shape))
 
 
-def _finish(tt: TruthTable, prop, viol, struct, ev, names) -> CheckReport:
-    k = len(names)
-    shape = (tt.tables.size,) * k
-    dom = np.broadcast_to(struct & ev, shape)
+def _violations(tt: TruthTable, names: str, rule):
+    """Evaluate ``rule`` over every rank tuple: (structural domain,
+    evaluable domain, violations), each of shape (size,) * len(names)."""
+    t = tt.tables
+    x = _RankSpace(tt)
+    sets = [_Ranks(t, r) for r in _axes(t.size, len(names))]
+    side, premise, conclusion = rule(x, *sets)
+    shape = (t.size,) * len(names)
+    struct = np.broadcast_to(side, shape)
+    dom = np.broadcast_to(struct & x.evaluable, shape)
+    return struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
+
+
+def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
+    names, rule = _RULES[prop]
+    struct, dom, viol = _violations(tt, names, rule)
     checked = int(np.count_nonzero(dom))
-    skipped = int(np.count_nonzero(np.broadcast_to(struct, shape))) - checked
-    viol = np.broadcast_to(viol, shape)
+    skipped = int(np.count_nonzero(struct)) - checked
     hit = _first_violation(viol)
     cx = None
     if hit is not None:
@@ -438,18 +444,20 @@ def check_axiom(
     oracle: IrrelevanceOracle, ax: Axiom, table: TruthTable | None = None
 ) -> CheckReport:
     """Exhaustively check one axiom; report the first violation if any."""
+    if not isinstance(ax, Axiom):
+        raise ValueError(f"not an axiom: {ax}")
     tt = table if table is not None else build_truth_table(oracle)
-    viol, struct, ev, names = _evaluate_axiom(tt, ax)
-    return _finish(tt, ax, viol, struct, ev, names)
+    return _check(tt, ax)
 
 
 def check_derived(
     oracle: IrrelevanceOracle, prop: DerivedProperty, table: TruthTable | None = None
 ) -> CheckReport:
     """Exhaustively check one derived property."""
+    if not isinstance(prop, DerivedProperty):
+        raise ValueError(f"unknown derived property: {prop}")
     tt = table if table is not None else build_truth_table(oracle)
-    viol, struct, ev, names = _evaluate_derived(tt, prop)
-    return _finish(tt, prop, viol, struct, ev, names)
+    return _check(tt, prop)
 
 
 def check_semigraphoid_profile(
@@ -471,7 +479,22 @@ def check_semigraphoid_profile(
     return ProfileReport(reports, matches)
 
 
-# --- direct replay of reported counterexamples ------------------------------
+# --- replay backend: direct re-evaluation of reported counterexamples -------
+
+
+class _Replay:
+    """Rule backend over frozensets, querying the raw oracle."""
+
+    def __init__(self, oracle: IrrelevanceOracle):
+        self.q = oracle.query
+
+    @staticmethod
+    def disjoint(*sets: frozenset) -> bool:
+        return sum(map(len, sets)) == len(frozenset().union(*sets))
+
+    @staticmethod
+    def forall(s: frozenset, clause) -> bool:
+        return all(clause(frozenset([k])) for k in s)
 
 
 def violates(
@@ -483,75 +506,20 @@ def violates(
 
     True iff the instance is a genuine violation: structural side
     conditions and premises hold but the conclusion fails.  This is the
-    self-check for counterexamples carried by CheckReport.
+    self-check for counterexamples carried by CheckReport.  ``sets``
+    maps the property's variable names ("A", "B", ...) to sets; a
+    missing name stands for the empty set, and any other key is a
+    ValueError.  An OracleDomainError raised by the oracle propagates.
     """
-    q = oracle.query
-    A = frozenset(sets.get("A", frozenset()))
-    B = frozenset(sets.get("B", frozenset()))
-    C = frozenset(sets.get("C", frozenset()))
-    D = frozenset(sets.get("D", frozenset()))
-
-    if prop is Axiom.LEFT_REDUNDANCY:
-        return not q(A, B, A)
-    if prop is Axiom.RIGHT_REDUNDANCY:
-        return not q(A, B, B)
-    if prop is Axiom.LEFT_DECOMPOSITION:
-        return D <= A and q(A, B, C) and not q(D, B, C)
-    if prop is Axiom.RIGHT_DECOMPOSITION:
-        return D <= B and q(A, B, C) and not q(A, D, C)
-    if prop is Axiom.LEFT_WEAK_UNION:
-        return D <= A and q(A, B, C) and not q(A, B, C | D)
-    if prop is Axiom.RIGHT_WEAK_UNION:
-        return D <= B and q(A, B, C) and not q(A, B, C | D)
-    if prop is Axiom.LEFT_CONTRACTION:
-        return q(A, B, C) and q(D, B, A | C) and not q(A | D, B, C)
-    if prop is Axiom.RIGHT_CONTRACTION:
-        return q(A, B, C) and q(A, D, B | C) and not q(A, B | D, C)
-    if prop is Axiom.LEFT_INTERSECTION:
-        return q(A, B, C) and q(C, B, A) and not q(A | C, B, A & C)
-    if prop is Axiom.RIGHT_INTERSECTION:
-        return q(A, B, C) and q(A, C, B) and not q(A, B | C, B & C)
-
-    if prop is DerivedProperty.LEFT_TRIM:
-        return q(A, B, C) != q(A - C, B, C)
-    if prop is DerivedProperty.RIGHT_TRIM:
-        return q(A, B, C) != q(A, B - C, C)
-    if prop is DerivedProperty.LEFT_DISJOINT_INTERSECTION:
-        if not _pairwise_disjoint(A, B, C, D):
-            return False
-        return q(A, B, C | D) and q(C, B, A | D) and not q(A | C, B, D)
-    if prop is DerivedProperty.RIGHT_DISJOINT_INTERSECTION:
-        if not _pairwise_disjoint(A, B, C, D):
-            return False
-        return q(A, B, C | D) and q(A, C, B | D) and not q(A, B | C, D)
-    if prop is DerivedProperty.OVERLAP_TOLERANT_INTERSECTION:
-        if not (_pairwise_disjoint(B, C, D) and not A & D):
-            return False
-        return q(A, B, C | D) and q(A, C, B | D) and not q(A, B | C, D)
-    if prop is DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION:
-        return D <= B and q(A, B, C) and not q(A, D, (C | B) - D)
-    if prop is DerivedProperty.GUARDED_RIGHT_DECOMPOSITION:
-        if not (D <= B and not (A & B) - (C | D)):
-            return False
-        guard = q(B, D, A | C)
-        if not guard:
-            guard = q(B, A - (C | D), C | D) and all(
-                q(A, frozenset([k]), (C - {k}) | B)
-                or q(B, frozenset([k]), (C - {k}) | D | A)
-                for k in C - D
-            )
-        return guard and q(A, B, C) and not q(A, D, C)
-
-    raise ValueError(f"unknown property: {prop}")
-
-
-def _pairwise_disjoint(*sets) -> bool:
-    total = 0
-    union = set()
-    for s in sets:
-        total += len(s)
-        union |= s
-    return len(union) == total
+    if prop not in _RULES:
+        raise ValueError(f"unknown property: {prop}")
+    names, rule = _RULES[prop]
+    unknown = sorted(set(sets) - set(names), key=str)
+    if unknown:
+        raise ValueError(f"{prop.value} quantifies over {list(names)}, not {unknown}")
+    args = (frozenset(sets.get(name, frozenset())) for name in names)
+    side, premise, conclusion = rule(_Replay(oracle), *args)
+    return bool(side and premise and not conclusion)
 
 
 # --- oracle factories --------------------------------------------------------
@@ -606,20 +574,18 @@ def find_right_decomposition_counterexample(
             f"(limit {MAX_SEARCH_GROUND})"
         )
     labels = ("a", "b", "c", "d")[:ground_size]
-    t = _tables(labels)
-    S = t.size
-    A, B, C, D = _axes(S, 4)
-    nonempty = t.masks != 0
-    struct = (
-        t.disjoint[A, B] & t.disjoint[A, C] & t.disjoint[B, C]
-        & t.subset[D, B] & (D != B)
-        & nonempty[A] & nonempty[B]
-    )
+    names, rule = _RULES[Axiom.RIGHT_DECOMPOSITION]
+
+    def disjoint_instance(x, A, B, C, D):
+        side, premise, conclusion = rule(x, A, B, C, D)
+        # rank 0 is the empty set
+        extra = x.disjoint(A, B, C) & ~(B <= D) & (A.r > 0) & (B.r > 0)
+        return side & extra, premise, conclusion
+
     for g in enumerate_digraphs(labels):
         tt = build_truth_table(delta_separation_oracle(g))
-        viol = struct & tt.values[A, B, C] & ~tt.values[A, D, C]
-        hit = _first_violation(np.broadcast_to(viol, (S,) * 4))
+        _, _, viol = _violations(tt, names, disjoint_instance)
+        hit = _first_violation(viol)
         if hit is not None:
-            sets = {name: t.set_of(r) for name, r in zip("ABCD", hit)}
-            return g, sets
+            return g, {name: tt.tables.set_of(r) for name, r in zip(names, hit)}
     return None

@@ -179,11 +179,15 @@ class DiGraph:
     def from_json_dict(cls, data: dict) -> "DiGraph":
         if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
             raise GraphError("graph JSON must be an object with 'nodes' and 'edges'")
-        edges = [tuple(e) for e in data["edges"]]
+        nodes, edges = data["nodes"], data["edges"]
+        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+            raise GraphError(f"graph JSON 'nodes' must be an array of strings: {nodes!r}")
+        if not isinstance(edges, list):
+            raise GraphError(f"graph JSON 'edges' must be an array: {edges!r}")
         for e in edges:
-            if len(e) != 2:
-                raise GraphError(f"edge must be a 2-element array: {list(e)!r}")
-        return cls(data["nodes"], edges)
+            if not isinstance(e, list) or len(e) != 2:
+                raise GraphError(f"edge must be a 2-element array: {e!r}")
+        return cls(nodes, [tuple(e) for e in edges])
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"

@@ -341,6 +341,10 @@ class TestCiDecay:
         bad[1] = -0.5
         with pytest.raises(ValueError, match="negative"):
             ci_decay(cycle3_spec, bad, "a", "b", ("c",))
+        with pytest.raises(ValueError, match="non-finite"):
+            ci_decay(cycle3_spec, np.full(n, np.nan), "a", "b", ("c",))
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate(cycle3_spec, np.full(n, np.nan), 1.0, seed=0)
 
     def test_rejects_bad_windows(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
@@ -411,6 +415,13 @@ class TestSimulate:
     def test_rejects_bad_horizon(self, cycle3_spec):
         with pytest.raises(ValueError, match="horizon"):
             simulate(cycle3_spec, uniform_distribution(cycle3_spec.space), 0.0, 1)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_non_finite_horizon(self, horizon):
+        # every state absorbing, so a missing check would return, not loop
+        spec = binary_pair(rate_x=(0.0, 0.0), rate_y=(0.0, 0.0))
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(spec, uniform_distribution(spec.space), horizon, seed=3)
 
     def test_batch_uses_offset_seeds(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)

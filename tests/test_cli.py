@@ -73,6 +73,19 @@ class TestDsep:
         assert code == 2
         assert "zz" in err
 
+    @pytest.mark.parametrize(
+        "graph",
+        [{"nodes": "ab", "edges": []}, {"nodes": ["a", "b"], "edges": ["ab"]}],
+    )
+    def test_malformed_graph_json_errors(self, capsys, tmp_path, graph):
+        # a JSON string must not be read as a sequence of node or edge labels
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "dsep", str(path), "--a", "a", "--b", "b")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     def test_missing_file_errors(self, capsys):
         code, _, err = run(capsys, "dsep", "no-such-file.json", "--a", "a", "--b", "b", "--c", "")
         assert code == 2
@@ -199,6 +212,29 @@ class TestDeriveGraph:
         assert code == 2
         assert "at least 2 components" in err
 
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            (("intensities", "a", "table", 0), "to"),
+            (("intensities", "b", "table", 1), "from"),
+            (("intensities", "c", "table", 0), "rate"),
+            (("components", 0), "name"),
+            (("components", 2), "states"),
+        ],
+    )
+    def test_spec_missing_field_errors(self, capsys, tmp_path, path, key):
+        data = json.loads((FIXTURES / "three_cycle_process.json").read_text())
+        node = data
+        for step in path:
+            node = node[step]
+        del node[key]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        code, out, err = run(capsys, "derive-graph", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and f"'{key}'" in err
+
 
 class TestCiCheck:
     def test_fast_direction(self, capsys):
@@ -278,6 +314,24 @@ class TestSimulateEstimate:
         for comp in data["components"].values():
             for cell in comp["cells"]:
                 assert all(v is None for v in cell["rates"].values())
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf"])
+    def test_rejects_non_finite_horizon(self, capsys, tmp_path, horizon):
+        # every state absorbing, so a missing check would return, not loop
+        table = [{"given": {}, "from": s, "to": 1 - s, "rate": 0.0} for s in (0, 1)]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "components": [{"name": "x", "states": 2}, {"name": "y", "states": 2}],
+            "intensities": {n: {"depends_on": [], "table": table} for n in "xy"},
+        }))
+        code, out, err = run(
+            capsys, "simulate", str(spec), "--horizon", horizon, "--seed", "1",
+            "--out-prefix", str(tmp_path / "t_"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "horizon" in err
+        assert not list(tmp_path.glob("t_*"))
 
 
 class TestWireFormatStability:

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from helpers import closure_under, random_digraph, slow_check
+from helpers import (
+    _instances,
+    _queries,
+    _structurally_valid,
+    _violated,
+    closure_under,
+    random_digraph,
+    slow_check,
+)
 from ligraph.graphs import DiGraph, UGraph, enumerate_digraphs
 from ligraph.graphoid import (
     Axiom,
@@ -71,6 +79,30 @@ class TestDeltaSeparationProfiles:
         g = DiGraph([f"n{i}" for i in range(6)])
         with pytest.raises(EnumerationGuardError):
             check_axiom(delta_separation_oracle(g), Axiom.LEFT_REDUNDANCY)
+
+
+class TestInputValidation:
+    def test_repeated_ground_labels_rejected(self):
+        # a repeated label would quantify over 2^3 "subsets" of a 2-set
+        oracle = IrrelevanceOracle(ground=("a", "a", "b"), query=lambda a, b, c: False)
+        with pytest.raises(ValueError, match="repeated"):
+            build_truth_table(oracle)
+        with pytest.raises(ValueError, match="repeated"):
+            check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
+
+    def test_violates_rejects_unknown_keys(self):
+        oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
+        lowercase = {"a": frozenset("a"), "b": frozenset("b")}
+        with pytest.raises(ValueError, match="not \\['a', 'b'\\]"):
+            violates(oracle, Axiom.RIGHT_REDUNDANCY, lowercase)
+        with pytest.raises(ValueError, match="'C'"):
+            violates(oracle, Axiom.RIGHT_REDUNDANCY, {"A": frozenset("a"), "C": frozenset()})
+
+    def test_violates_reads_missing_keys_as_empty(self):
+        oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
+        # A = {a}, B = {b} violates right redundancy; B = {} does not
+        assert violates(oracle, Axiom.RIGHT_REDUNDANCY, {"A": frozenset("a"), "B": frozenset("b")})
+        assert not violates(oracle, Axiom.RIGHT_REDUNDANCY, {"A": frozenset("a")})
 
 
 class TestUndirectedSeparationIsClassicalGraphoid:
@@ -144,6 +176,14 @@ class TestVectorizedEngineAgainstSlowPath:
         assert report.holds == holds
         assert report.counterexample == first
         assert report.checked == checked
+        # the replay must agree with the slow path on every assignment,
+        # not only on reported counterexamples
+        names = "".join(next(_instances(prop, subs)))
+        for combo in itertools.product(subs, repeat=len(names)):
+            sets = dict(zip(names, combo))
+            valid = len(names) < 4 or _structurally_valid(prop, sets)
+            vals = [oracle.query(*t) for t in _queries(prop, sets)]
+            assert violates(oracle, prop, sets) == (valid and _violated(prop, sets, vals)), sets
 
     @pytest.mark.parametrize("seed", range(2))
     def test_partial_oracle_skips_match(self, seed):
