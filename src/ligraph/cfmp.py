@@ -7,6 +7,14 @@ declared dependencies and its own state.  Two components never jump at
 the same instant, so the joint generator is sparse: entries between
 product states differing in two or more components are exactly zero.
 
+A spec is immutable.  The first operation that needs it validates it,
+once, and compiles it into one transition structure: each component's
+rates as a dense array over (dependency configuration, source, target),
+and the joint chain's transitions as (source, target, rate) arrays over
+the product states.  The generator, the constancy checks, simulation
+and estimation all read that structure.  A spec that fails validation
+is not compiled and raises again on every call.
+
 The module derives the independence graph from the tables (a declared
 dependency whose rows never actually differ is vacuous and produces no
 edge), validates the graph's separation statements numerically through
@@ -18,11 +26,13 @@ Rates are homogeneous (time-constant).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,11 +131,21 @@ class ComponentIntensity:
 
 @dataclass(frozen=True, eq=False)
 class CfmpSpec:
+    """A process spec.  Immutable: ``intensities`` is kept as a read-only
+    copy, so the spec is validated and compiled at most once."""
+
     space: ComponentSpace
     intensities: Mapping[str, ComponentIntensity]
 
+    def __post_init__(self):
+        object.__setattr__(self, "intensities", MappingProxyType(dict(self.intensities)))
+
     def validate(self) -> list[str]:
         return validate_spec(self)
+
+    @functools.cached_property
+    def _compiled(self) -> _Compiled:
+        return _Compiled(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,36 +272,77 @@ def ensure_valid(spec: CfmpSpec) -> None:
         raise SpecValidationError(errors)
 
 
-def _compile(spec: CfmpSpec) -> dict[str, dict[tuple, float]]:
-    return {
-        name: {(r.given, r.source, r.target): r.rate for r in ci.rows}
-        for name, ci in spec.intensities.items()
-    }
+class _Compiled:
+    """A valid spec's transition structure, built once per spec.
+
+    ``deps[name]`` holds the positions of the component's dependencies,
+    ``rates[name]`` its rates with shape ``(*dep_cards, card, card)``,
+    ``states`` the product states in index order, and ``src``, ``dst``,
+    ``rate`` every joint transition in (state, component, destination)
+    order."""
+
+    def __init__(self, spec: CfmpSpec):
+        ensure_valid(spec)
+        space = spec.space
+        n = space.n_states
+        self.states = list(space.states())
+        grid = np.array(self.states, dtype=int)
+        self.deps: dict[str, tuple[int, ...]] = {}
+        self.rates: dict[str, np.ndarray] = {}
+        dst, rate, move = [], [], []
+        for ki, (name, card, stride) in enumerate(zip(space.names, space.cards, space.strides)):
+            ci = spec.intensities[name]
+            deps = tuple(space.index_of(d) for d in ci.depends_on)
+            table = np.zeros(tuple(space.cards[p] for p in deps) + (card, card))
+            for r in ci.rows:
+                table[r.given + (r.source, r.target)] = r.rate
+            self.deps[name], self.rates[name] = deps, table
+            own = grid[:, ki : ki + 1]
+            targets = np.arange(card)[None, :]
+            dst.append(np.arange(n)[:, None] + (targets - own) * stride)
+            rate.append(table[tuple(grid[:, p] for p in deps) + (grid[:, ki],)])
+            move.append(targets != own)
+        move = np.concatenate(move, axis=1).ravel()
+        self.dst, self.rate = (np.concatenate(a, axis=1).ravel()[move] for a in (dst, rate))
+        # every state has the same number of transitions, sum(card - 1)
+        self.src = np.repeat(np.arange(n), sum(space.cards) - len(space.cards))
+
+    @functools.cached_property
+    def jump_table(self) -> list[tuple[float, np.ndarray, list[int]]]:
+        """Per product state: total exit rate, cumulative transition
+        weights, and the state index reached by each transition."""
+        live = self.rate > 0.0
+        rate, dst = self.rate[live], self.dst[live]
+        bounds = np.searchsorted(self.src[live], np.arange(len(self.states) + 1))
+        out = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            # a sequential cumsum in (component, destination) order, with
+            # total as its last entry, keeps the sampled stream fixed
+            cum = np.cumsum(rate[lo:hi])
+            total = float(cum[-1]) if hi > lo else 0.0
+            out.append((total, cum / total if hi > lo else cum, dst[lo:hi].tolist()))
+        return out
 
 
 # --- constancy checks and graph derivation ------------------------------------
 
 
-def _rates_nearly_equal(rates: Sequence[float]) -> bool:
-    lo, hi = min(rates), max(rates)
-    return hi - lo <= RATE_CONSTANCY_RTOL * max(abs(lo), abs(hi))
+def _constant(rates: np.ndarray, axes: tuple[int, ...]) -> bool:
+    """True iff the rates do not vary, up to RATE_CONSTANCY_RTOL, along ``axes``."""
+    lo, hi = rates.min(axis=axes), rates.max(axis=axes)
+    return bool(np.all(hi - lo <= RATE_CONSTANCY_RTOL * np.maximum(abs(lo), abs(hi))))
 
 
 def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str]) -> bool:
     """True iff the component's rate table is constant in every declared
     dependency outside ``keep`` (i.e. it factors through ``keep``)."""
-    ensure_valid(spec)
+    rates = spec._compiled.rates
     spec.space.index_of(component)
     keep = set(keep)
-    ci = spec.intensities[component]
-    kept_pos = [i for i, d in enumerate(ci.depends_on) if d in keep]
-    if len(kept_pos) == len(ci.depends_on):
-        return True
-    groups: dict[tuple, list[float]] = defaultdict(list)
-    for row in ci.rows:
-        reduced = tuple(row.given[i] for i in kept_pos)
-        groups[(reduced, row.source, row.target)].append(row.rate)
-    return all(_rates_nearly_equal(rs) for rs in groups.values())
+    dropped = tuple(
+        i for i, d in enumerate(spec.intensities[component].depends_on) if d not in keep
+    )
+    return _constant(rates[component], dropped)
 
 
 def is_locally_independent(spec: CfmpSpec, source: str, target: str) -> bool:
@@ -303,7 +364,7 @@ def set_locally_independent(
     """True iff every target component's intensity is constant in all the
     source components' states.  The three sets must be pairwise disjoint
     and jointly cover every component."""
-    ensure_valid(spec)
+    spec._compiled  # validates the spec, once
     b = frozenset(sources)
     a = frozenset(targets)
     c = frozenset(given)
@@ -323,29 +384,26 @@ def set_locally_independent(
     )
 
 
+def _declared_dependencies(spec: CfmpSpec) -> list[tuple[str, str, bool]]:
+    """Every declared dependency (j, k) with whether it is vacuous."""
+    rates = spec._compiled.rates
+    return [
+        (j, k, _constant(rates[k], (axis,)))
+        for k in spec.space.names
+        for axis, j in enumerate(spec.intensities[k].depends_on)
+    ]
+
+
 def derive_graph(spec: CfmpSpec) -> DiGraph:
     """Independence graph: edge (j, k) iff k's intensity genuinely varies
     with j's state.  Vacuous declared dependencies produce no edge."""
-    ensure_valid(spec)
-    names = spec.space.names
-    edges = [
-        (j, k)
-        for k in names
-        for j in spec.intensities[k].depends_on
-        if not is_locally_independent(spec, j, k)
-    ]
-    return DiGraph(names, edges)
+    edges = [(j, k) for j, k, vacuous in _declared_dependencies(spec) if not vacuous]
+    return DiGraph(spec.space.names, edges)
 
 
 def vacuous_dependencies(spec: CfmpSpec) -> list[tuple[str, str]]:
     """Declared dependencies whose rate rows never actually differ."""
-    ensure_valid(spec)
-    return [
-        (j, k)
-        for k in spec.space.names
-        for j in spec.intensities[k].depends_on
-        if is_locally_independent(spec, j, k)
-    ]
+    return [(j, k) for j, k, vacuous in _declared_dependencies(spec) if vacuous]
 
 
 # --- generator and transition probabilities ------------------------------------
@@ -354,27 +412,13 @@ def vacuous_dependencies(spec: CfmpSpec) -> list[tuple[str, str]]:
 def build_generator(spec: CfmpSpec) -> Generator:
     """Joint rate matrix; entries between states that differ in two or
     more components are identically zero."""
-    ensure_valid(spec)
-    space = spec.space
-    n = space.n_states
-    tables = _compile(spec)
-    dep_positions = {
-        name: tuple(space.index_of(d) for d in spec.intensities[name].depends_on)
-        for name in space.names
-    }
-    strides = space.strides
+    comp = spec._compiled
+    n = spec.space.n_states
     q = np.zeros((n, n))
-    for idx, y in enumerate(space.states()):
-        for ki, name in enumerate(space.names):
-            tab = tables[name]
-            given = tuple(y[p] for p in dep_positions[name])
-            src = y[ki]
-            for dst in range(space.cards[ki]):
-                if dst != src:
-                    q[idx, idx + (dst - src) * strides[ki]] = tab[(given, src, dst)]
+    q[comp.src, comp.dst] = comp.rate
     q[np.arange(n), np.arange(n)] = -q.sum(axis=1)
     q.setflags(write=False)
-    return Generator(space, q)
+    return Generator(spec.space, q)
 
 
 def transition_matrix(gen: Generator, h: float) -> np.ndarray:
@@ -417,14 +461,17 @@ def uniform_distribution(space: ComponentSpace) -> np.ndarray:
 
 
 def stationary_distribution(gen: Generator) -> np.ndarray:
-    """Solve pi @ Q = 0 with unit mass (least squares; assumes a single
-    communicating class, which all shipped fixtures have)."""
+    """Solve pi @ Q = 0 with unit mass by least squares.  Raises
+    ValueError when the solution is not unique, which is when the chain
+    has more than one closed communicating class."""
     q = gen.matrix
     n = q.shape[0]
     a = np.vstack([q.T, np.ones(n)])
     b = np.zeros(n + 1)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    pi, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < n:
+        raise ValueError("stationary distribution is not unique")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
@@ -509,7 +556,7 @@ def ci_decay(
     The conditioning set always includes the target's own time-zero
     state.  The source must not be in it.
     """
-    ensure_valid(spec)
+    comp = spec._compiled
     space = spec.space
     pi = _check_distribution(space, pi)
     t_idx = space.index_of(target)
@@ -526,7 +573,7 @@ def ci_decay(
         raise ValueError(f"window lengths must be strictly decreasing and >= {MIN_H}")
 
     w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
-    states = np.array(list(space.states()), dtype=int)
+    states = np.array(comp.states, dtype=int)
     n = space.n_states
     card_t = space.cards[t_idx]
     card_s = space.cards[s_idx]
@@ -578,49 +625,31 @@ def _cmi(joint: np.ndarray) -> float:
 # --- simulation and estimation --------------------------------------------------
 
 
-def _jump_table(spec: CfmpSpec):
-    """Per product state: total exit rate, cumulative transition weights,
-    and the state index reached by each transition."""
-    space = spec.space
-    tables = _compile(spec)
-    dep_positions = {
-        name: tuple(space.index_of(d) for d in spec.intensities[name].depends_on)
-        for name in space.names
-    }
-    strides = space.strides
-    out = []
-    for idx, y in enumerate(space.states()):
-        rates = []
-        targets = []
-        for ki, name in enumerate(space.names):
-            given = tuple(y[p] for p in dep_positions[name])
-            src = y[ki]
-            for dst in range(space.cards[ki]):
-                if dst != src:
-                    r = tables[name][(given, src, dst)]
-                    if r > 0.0:
-                        rates.append(r)
-                        targets.append(idx + (dst - src) * strides[ki])
-        total = float(sum(rates))
-        cum = np.cumsum(rates) / total if total > 0 else np.empty(0)
-        out.append((total, cum, targets))
-    return out
-
-
 def simulate(spec: CfmpSpec, pi, horizon: float, seed: int) -> Trajectory:
     """Exact event-driven sample of the joint chain: exponential holding
     times at the total exit rate, next transition chosen proportionally
     to its rate.  Deterministic given the seed.  An absorbing state
     simply holds until the horizon."""
-    ensure_valid(spec)
+    return simulate_batch(spec, pi, horizon, seed, 1)[0]
+
+
+def simulate_batch(
+    spec: CfmpSpec, pi, horizon: float, seed: int, count: int
+) -> list[Trajectory]:
+    """Independent trajectories with per-trajectory seeds seed + index."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    comp = spec._compiled
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    space = spec.space
-    pi = _check_distribution(space, pi)
+    pi = _check_distribution(spec.space, pi)
+    return [_sample(comp, pi, horizon, seed + i) for i in range(count)]
+
+
+def _sample(comp: _Compiled, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:
     rng = np.random.default_rng(seed)
-    states = list(space.states())
-    jump_table = _jump_table(spec)
-    idx = int(rng.choice(space.n_states, p=pi))
+    states, jump_table = comp.states, comp.jump_table
+    idx = int(rng.choice(len(states), p=pi))
     initial = states[idx]
     jumps = []
     t = 0.0
@@ -636,13 +665,6 @@ def simulate(spec: CfmpSpec, pi, horizon: float, seed: int) -> Trajectory:
         idx = targets[pick]
         jumps.append((t, states[idx]))
     return Trajectory(initial, tuple(jumps), float(horizon))
-
-
-def simulate_batch(
-    spec: CfmpSpec, pi, horizon: float, seed: int, count: int
-) -> list[Trajectory]:
-    """Independent trajectories with per-trajectory seeds seed + index."""
-    return [simulate(spec, pi, horizon, seed + i) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -686,18 +708,14 @@ def estimate_intensities(
 ) -> IntensityEstimates:
     """Rate estimates under the spec's dependency structure: events in a
     cell divided by the total time exposed in that cell."""
-    ensure_valid(spec)
+    comp = spec._compiled
     space = spec.space
-    dep_positions = {
-        name: tuple(space.index_of(d) for d in spec.intensities[name].depends_on)
-        for name in space.names
-    }
     exposure: dict[str, dict[tuple, float]] = {n: defaultdict(float) for n in space.names}
     counts: dict[str, dict[tuple, int]] = {n: defaultdict(int) for n in space.names}
     for traj in trajectories:
         for state, dwell in traj.states_and_durations():
             for ki, name in enumerate(space.names):
-                given = tuple(state[p] for p in dep_positions[name])
+                given = tuple(state[p] for p in comp.deps[name])
                 exposure[name][(given, state[ki])] += dwell
         prev = traj.initial
         for _, state in traj.jumps:
@@ -705,19 +723,14 @@ def estimate_intensities(
                 i for i in range(len(state)) if state[i] != prev[i]
             )
             name = space.names[ki]
-            given = tuple(prev[p] for p in dep_positions[name])
+            given = tuple(prev[p] for p in comp.deps[name])
             counts[name][(given, prev[ki], state[ki])] += 1
             prev = state
 
     cells: dict[str, dict[tuple[tuple[int, ...], int], CellEstimate]] = {}
-    depends_on = {}
-    for ki, name in enumerate(space.names):
-        deps = spec.intensities[name].depends_on
-        depends_on[name] = deps
-        dep_cards = [space.cards[space.index_of(d)] for d in deps]
-        card = space.cards[ki]
+    for name, card in zip(space.names, space.cards):
         comp_cells = {}
-        for given in itertools.product(*(range(c) for c in dep_cards)):
+        for given in np.ndindex(comp.rates[name].shape[:-2]):
             for src in range(card):
                 expo = exposure[name].get((given, src), 0.0)
                 events = {
@@ -731,6 +744,7 @@ def estimate_intensities(
                 }
                 comp_cells[(given, src)] = CellEstimate(expo, events, rates)
         cells[name] = comp_cells
+    depends_on = {name: spec.intensities[name].depends_on for name in space.names}
     return IntensityEstimates(space, depends_on, cells)
 
 
@@ -741,7 +755,7 @@ def local_independence_oracle(spec: CfmpSpec) -> IrrelevanceOracle:
     """Irrelevance by intensity constancy.  Only triples that partition
     the component set are in the oracle's domain; others raise
     OracleDomainError and are skipped by the axiom checkers."""
-    ensure_valid(spec)
+    spec._compiled  # validates the spec, once
 
     def query(a: frozenset, b: frozenset, c: frozenset) -> bool:
         try:
@@ -780,50 +794,71 @@ def spec_to_json_dict(spec: CfmpSpec) -> dict:
     return {"components": comps, "intensities": intens}
 
 
-def _field(obj, key: str, convert, where: str):
-    """``convert(obj[key])``, with a missing key or bad value as ValueError."""
-    if not isinstance(obj, dict) or key not in obj:
+def _field(obj, key: str, convert, where: str, default=None):
+    """``convert(obj[key])``, or ``default`` when the key is absent and a
+    default is given; a missing required key or a bad value is a
+    ValueError."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
         raise ValueError(f"{where} must be an object with {key!r}")
+    if key not in obj:
+        return default
     try:
         return convert(obj[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: bad {key!r}: {obj[key]!r}") from None
 
 
+def _json(*types):
+    """A converter accepting only JSON values of ``types``; a boolean is
+    never an integer or a number."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(value)
+        return value
+
+    return convert
+
+
+_INT, _NUMBER, _STRING, _ARRAY, _OBJECT = (
+    _json(int), _json(int, float), _json(str), _json(list), _json(dict)
+)
+
+
+def _number(value) -> float:
+    return float(_NUMBER(value))
+
+
+def _in_range(value, card: int) -> int:
+    if not 0 <= _INT(value) < card:
+        raise ValueError(value)
+    return value
+
+
 def spec_from_json_dict(data: dict) -> CfmpSpec:
-    if not isinstance(data, dict) or "components" not in data:
-        raise ValueError("process spec JSON must be an object with 'components'")
-    names = []
-    cards = []
-    for i, comp in enumerate(data["components"]):
-        names.append(_field(comp, "name", str, f"component {i}"))
-        cards.append(_field(comp, "states", int, f"component {i}"))
+    comps = _field(data, "components", _ARRAY, "process spec JSON")
+    names = [_field(c, "name", _STRING, f"component {i}") for i, c in enumerate(comps)]
+    cards = [_field(c, "states", _INT, f"component {i}") for i, c in enumerate(comps)]
     space = ComponentSpace(tuple(names), tuple(cards))
-    intens_data = data.get("intensities", {})
+    intens_data = _field(data, "intensities", _OBJECT, "process spec JSON", {})
     intensities = {}
     for name in names:
-        entry = intens_data.get(name, {})
-        deps = tuple(str(d) for d in entry.get("depends_on", ()))
+        entry = _field(intens_data, name, _OBJECT, "'intensities'", {})
+        deps = _field(entry, "depends_on", lambda v: tuple(map(_STRING, _ARRAY(v))), name, ())
         rows = []
-        for raw in entry.get("table", ()):
+        for raw in _field(entry, "table", _ARRAY, name, ()):
             where = f"{name}: rate table row"
-            source = _field(raw, "from", int, where)
-            target = _field(raw, "to", int, where)
-            rate = _field(raw, "rate", float, where)
-            given_map = raw.get("given", {})
+            source = _field(raw, "from", _INT, where)
+            target = _field(raw, "to", _INT, where)
+            rate = _field(raw, "rate", _number, where)
+            given_map = _field(raw, "given", _OBJECT, where, {})
             if set(given_map) != set(deps):
                 raise ValueError(
                     f"{name}: 'given' must assign exactly {list(deps)}, "
                     f"got {sorted(given_map)}"
                 )
-            rows.append(
-                RateRow(
-                    given=tuple(int(given_map[d]) for d in deps),
-                    source=source,
-                    target=target,
-                    rate=rate,
-                )
-            )
+            given = tuple(_field(given_map, d, _INT, f"{where} 'given'") for d in deps)
+            rows.append(RateRow(given, source, target, rate))
         intensities[name] = ComponentIntensity(deps, tuple(rows))
     return CfmpSpec(space, intensities)
 
@@ -860,18 +895,28 @@ def trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
     if not lines:
         raise ValueError("empty trajectory file")
     header = json.loads(lines[0])
-    if tuple(header.get("components", ())) != space.names:
+    where = "trajectory header"
+    if tuple(_field(header, "components", _ARRAY, where)) != space.names:
         raise ValueError(
-            f"trajectory components {header.get('components')} do not match "
+            f"trajectory components {header['components']} do not match "
             f"the spec components {list(space.names)}"
         )
-    state = list(int(v) for v in header["initial"])
-    horizon = float(header["horizon"])
+
+    def initial_state(value):
+        if len(_ARRAY(value)) != len(space.cards):
+            raise ValueError(value)
+        return [_in_range(v, c) for v, c in zip(value, space.cards)]
+
+    state = _field(header, "initial", initial_state, where)
+    horizon = _field(header, "horizon", _number, where)
+    if not (0 < horizon < math.inf):
+        raise ValueError(f"trajectory horizon must be positive and finite, got {horizon}")
     initial = tuple(state)
+    in_range = [functools.partial(_in_range, card=c) for c in space.cards]
     jumps = []
     for ln in lines[1:]:
         ev = json.loads(ln)
-        ki = space.index_of(str(ev["component"]))
-        state[ki] = int(ev["new_state"])
-        jumps.append((float(ev["time"]), tuple(state)))
+        ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
+        state[ki] = _field(ev, "new_state", in_range[ki], "trajectory event")
+        jumps.append((_field(ev, "time", _number, "trajectory event"), tuple(state)))
     return Trajectory(initial, tuple(jumps), horizon)

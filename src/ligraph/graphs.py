@@ -182,6 +182,8 @@ class DiGraph:
         nodes, edges = data["nodes"], data["edges"]
         if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
             raise GraphError(f"graph JSON 'nodes' must be an array of strings: {nodes!r}")
+        if len(set(nodes)) != len(nodes):
+            raise GraphError(f"graph JSON 'nodes' has repeated labels: {nodes!r}")
         if not isinstance(edges, list):
             raise GraphError(f"graph JSON 'edges' must be an array: {edges!r}")
         for e in edges:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import random_spec
+from ligraph import cfmp
 from ligraph.cfmp import (
     CfmpSpec,
     ComponentIntensity,
@@ -20,6 +22,7 @@ from ligraph.cfmp import (
     derive_graph,
     estimate_intensities,
     is_locally_independent,
+    local_independence_oracle,
     set_locally_independent,
     simulate,
     simulate_batch,
@@ -35,6 +38,8 @@ from ligraph.cfmp import (
     vacuous_dependencies,
     validate_spec,
 )
+from ligraph.fixtures import home_visits_process, three_cycle_process
+from ligraph.graphoid import build_truth_table
 from ligraph.graphs import UnknownNodeError
 
 
@@ -123,6 +128,49 @@ class TestValidation:
         spec = binary_pair(rate_x=(-1.0, 1.0))
         with pytest.raises(SpecValidationError):
             build_generator(spec)
+
+
+class TestCompiledOnce:
+    def test_validated_once_per_spec(self, monkeypatch):
+        calls = []
+        validate = cfmp.validate_spec
+        monkeypatch.setattr(cfmp, "validate_spec", lambda spec: calls.append(1) or validate(spec))
+        spec = home_visits_process()
+        pi = uniform_distribution(spec.space)
+        derive_graph(spec)
+        vacuous_dependencies(spec)
+        ci_decay(spec, pi, "hosp", "survival", ("health", "visits"))
+        trajs = simulate_batch(spec, pi, 5.0, seed=1, count=5)
+        estimate_intensities(trajs, spec)
+        build_truth_table(local_independence_oracle(spec))
+        assert len(calls) == 1
+
+    def test_invalid_spec_raises_on_every_call(self):
+        spec = binary_pair(rate_x=(-1.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(SpecValidationError, match="negative rate"):
+                derive_graph(spec)
+
+    def test_intensities_read_only(self):
+        spec = three_cycle_process()
+        with pytest.raises(TypeError):
+            spec.intensities["a"] = spec.intensities["b"]
+
+    @pytest.mark.parametrize(
+        "make, digest, jumps",
+        [
+            (three_cycle_process,
+             "6a75a18e6d61428b944326b8721d4288dde6a9e5d87ed3d42a45e28d8a4c5bf3", 110),
+            (home_visits_process,
+             "8175986e2b6ffcc00a6f4214f0ff776bb5c4481efb289dccdf1a41e6f863875e", 122),
+        ],
+    )
+    def test_trajectory_stream_pinned(self, make, digest, jumps):
+        spec = make()
+        trajs = simulate_batch(spec, uniform_distribution(spec.space), 20.0, seed=7, count=2)
+        text = "".join(trajectory_to_jsonl(t, spec.space) for t in trajs)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert sum(len(t.jumps) for t in trajs) == jumps
 
 
 class TestGenerator:
@@ -377,6 +425,12 @@ class TestStationaryDistribution:
         pi = stationary_distribution(gen)
         assert np.abs(pi - 0.25).max() < 1e-10
 
+    def test_several_closed_classes_rejected(self):
+        # every state absorbing: each one is stationary on its own
+        gen = build_generator(binary_pair(rate_x=(0.0, 0.0), rate_y=(0.0, 0.0)))
+        with pytest.raises(ValueError, match="not unique"):
+            stationary_distribution(gen)
+
 
 class TestSimulate:
     def test_absorbing_state_holds(self):
@@ -427,6 +481,20 @@ class TestSimulate:
         pi = uniform_distribution(cycle3_spec.space)
         batch = simulate_batch(cycle3_spec, pi, 10.0, seed=100, count=3)
         assert batch[1] == simulate(cycle3_spec, pi, 10.0, seed=101)
+
+    @pytest.mark.parametrize("count", [-1, 1.0, True, "2"])
+    def test_batch_rejects_bad_count(self, cycle3_spec, count):
+        pi = uniform_distribution(cycle3_spec.space)
+        with pytest.raises(ValueError, match="count"):
+            simulate_batch(cycle3_spec, pi, 10.0, seed=1, count=count)
+
+    def test_batch_checks_arguments_even_when_empty(self, cycle3_spec):
+        pi = uniform_distribution(cycle3_spec.space)
+        assert simulate_batch(cycle3_spec, pi, 10.0, seed=1, count=0) == []
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_batch(cycle3_spec, pi, math.nan, seed=1, count=0)
+        with pytest.raises(ValueError, match="mass"):
+            simulate_batch(cycle3_spec, 2 * pi, 10.0, seed=1, count=0)
 
 
 class TestEstimate:
@@ -481,6 +549,14 @@ class TestWireFormats:
         again = spec_from_json(text)
         assert spec_to_json(again) == text
         assert spec_to_json_dict(again) == spec_to_json_dict(visits_spec)
+
+    def test_spec_accepts_integer_rates(self):
+        data = spec_to_json_dict(binary_pair(rate_x=(1.0, 2.0)))
+        for row in data["intensities"]["x"]["table"]:
+            row["rate"] = int(row["rate"])
+        spec = spec_from_json_dict(data)
+        assert [r.rate for r in spec.intensities["x"].rows] == [1.0, 2.0]
+        assert all(type(r.rate) is float for r in spec.intensities["x"].rows)
 
     def test_spec_rejects_wrong_given_keys(self):
         data = spec_to_json_dict(binary_pair(y_deps=("x",)))

@@ -24,6 +24,26 @@ def visits_graph_file():
     return str(FIXTURES / "home_visits_graph.json")
 
 
+def absorbing_spec_file(tmp_path):
+    """Two binary components with every rate zero: every state absorbs."""
+    table = [{"given": {}, "from": s, "to": 1 - s, "rate": 0.0} for s in (0, 1)]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "components": [{"name": "x", "states": 2}, {"name": "y", "states": 2}],
+        "intensities": {n: {"depends_on": [], "table": table} for n in "xy"},
+    }))
+    return str(spec)
+
+
+HEADER = '{"components": ["a", "b", "c"], "initial": [0, 0, 0], "horizon": 5.0}'
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 class TestDsep:
     def test_separated_direction(self, capsys):
         code, out, _ = run(capsys, "dsep", cycle_graph_file(), "--a", "b", "--b", "a", "--c", "c")
@@ -75,7 +95,11 @@ class TestDsep:
 
     @pytest.mark.parametrize(
         "graph",
-        [{"nodes": "ab", "edges": []}, {"nodes": ["a", "b"], "edges": ["ab"]}],
+        [
+            {"nodes": "ab", "edges": []},
+            {"nodes": ["a", "b"], "edges": ["ab"]},
+            {"nodes": ["a", "a", "b"], "edges": []},
+        ],
     )
     def test_malformed_graph_json_errors(self, capsys, tmp_path, graph):
         # a JSON string must not be read as a sequence of node or edge labels
@@ -235,6 +259,39 @@ class TestDeriveGraph:
         assert out == ""
         assert err.count("\n") == 1 and f"'{key}'" in err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            pytest.param(("components",), 5, id="components-number"),
+            pytest.param(("intensities",), [], id="intensities-array"),
+            pytest.param(("intensities", "a"), [], id="entry-array"),
+            pytest.param(("intensities", "a", "table"), {}, id="table-object"),
+            pytest.param(("intensities", "a", "table", 0, "given"), "c", id="given-string"),
+            pytest.param(("intensities", "a", "depends_on"), 5, id="depends-number"),
+            pytest.param(("intensities", "a", "depends_on"), "c", id="depends-string"),
+            pytest.param(("components", 0, "states"), 2.7, id="states-float"),
+            pytest.param(("components", 0, "states"), True, id="states-bool"),
+            pytest.param(("components", 0, "states"), "2", id="states-string"),
+            pytest.param(("components", 0, "name"), 5, id="name-number"),
+            pytest.param(("intensities", "a", "table", 0, "from"), "0", id="from-string"),
+            pytest.param(("intensities", "a", "table", 0, "to"), 1.0, id="to-float"),
+            pytest.param(
+                ("intensities", "a", "table", 0, "given", "c"), True, id="given-value-bool"
+            ),
+            pytest.param(("intensities", "a", "table", 0, "rate"), True, id="rate-bool"),
+            pytest.param(("intensities", "a", "table", 0, "rate"), "0.5", id="rate-string"),
+        ],
+    )
+    def test_spec_ill_typed_field_errors(self, capsys, tmp_path, path, value):
+        data = json.loads((FIXTURES / "three_cycle_process.json").read_text())
+        node = data
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        assert_one_line_error(*run(capsys, "derive-graph", str(spec)))
+
 
 class TestCiCheck:
     def test_fast_direction(self, capsys):
@@ -260,6 +317,14 @@ class TestCiCheck:
         )
         assert code == 0
         assert json.loads(out)["decay_class"] == "zero"
+
+    def test_stationary_of_absorbing_chain_errors(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "ci-check", absorbing_spec_file(tmp_path),
+            "--target", "x", "--source", "y", "--pi", "stationary",
+        )
+        assert_one_line_error(code, out, err)
+        assert "not unique" in err
 
     def test_custom_windows(self, capsys):
         code, out, _ = run(
@@ -315,23 +380,44 @@ class TestSimulateEstimate:
             for cell in comp["cells"]:
                 assert all(v is None for v in cell["rates"].values())
 
-    @pytest.mark.parametrize("horizon", ["nan", "inf"])
-    def test_rejects_non_finite_horizon(self, capsys, tmp_path, horizon):
-        # every state absorbing, so a missing check would return, not loop
-        table = [{"given": {}, "from": s, "to": 1 - s, "rate": 0.0} for s in (0, 1)]
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "components": [{"name": "x", "states": 2}, {"name": "y", "states": 2}],
-            "intensities": {n: {"depends_on": [], "table": table} for n in "xy"},
-        }))
+    @pytest.mark.parametrize(
+        "horizon, count, message",
+        [
+            ("nan", "1", "horizon"),
+            ("inf", "1", "horizon"),
+            ("nan", "0", "horizon"),
+            ("10", "-1", "count"),
+        ],
+    )
+    def test_rejects_bad_horizon_or_count(self, capsys, tmp_path, horizon, count, message):
+        # every state absorbing, so a missing horizon check would return, not loop
         code, out, err = run(
-            capsys, "simulate", str(spec), "--horizon", horizon, "--seed", "1",
-            "--out-prefix", str(tmp_path / "t_"),
+            capsys, "simulate", absorbing_spec_file(tmp_path), "--horizon", horizon,
+            "--seed", "1", "--count", count, "--out-prefix", str(tmp_path / "t_"),
         )
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and "horizon" in err
+        assert_one_line_error(code, out, err)
+        assert message in err
         assert not list(tmp_path.glob("t_*"))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            pytest.param(['[0, 0, 0]'], id="header-array"),
+            pytest.param([HEADER.replace("[0, 0, 0]", "[0, 0]")], id="initial-short"),
+            pytest.param([HEADER.replace("[0, 0, 0]", "[9, 9, 9]")], id="initial-range"),
+            pytest.param([HEADER.replace("[0, 0, 0]", "[0, 0, 0.5]")], id="initial-float"),
+            pytest.param([HEADER.replace("5.0", "NaN")], id="horizon-nan"),
+            pytest.param(
+                [HEADER, '{"time": 1.0, "component": "a", "new_state": 5}'], id="new-state-range"
+            ),
+            pytest.param([HEADER, '{"time": 1.0, "component": "a"}'], id="new-state-missing"),
+        ],
+    )
+    def test_estimate_rejects_bad_trajectory(self, capsys, tmp_path, lines):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        spec = str(FIXTURES / "three_cycle_process.json")
+        assert_one_line_error(*run(capsys, "estimate", str(path), "--spec", spec))
 
 
 class TestWireFormatStability:

@@ -260,6 +260,12 @@ class TestSerialization:
         with pytest.raises(GraphError):
             DiGraph.from_json_dict({"nodes": ["a", "b"], "edges": [["a", "b", "c"]]})
 
+    def test_json_rejects_repeated_labels(self):
+        with pytest.raises(GraphError, match="repeated"):
+            DiGraph.from_json_dict({"nodes": ["a", "a", "b"], "edges": []})
+        # the constructor still merges repeated labels by design
+        assert DiGraph(["a", "a", "b"]).labels == ("a", "b")
+
     def test_dot_directed(self, cycle3):
         dot = cycle3.to_dot()
         assert dot.startswith("digraph G {")
