@@ -11,9 +11,15 @@ A spec is immutable.  The first operation that needs it validates it,
 once, and compiles it into one transition structure: each component's
 rates as a dense array over (dependency configuration, source, target),
 and the joint chain's transitions as (source, target, rate) arrays over
-the product states.  The generator, the constancy checks, simulation
-and estimation all read that structure.  A spec that fails validation
-is not compiled and raises again on every call.
+the product states.  The generator, the constancy checks, simulation,
+estimation and the decay reports all read that structure.  A spec that
+fails validation is not compiled and raises again on every call.
+
+Decay reports never form the dense transition matrix P(h).  They
+uniformize the n x card_t block of target indicators through the
+compiled transitions, at O(n * transitions per state * card_t) per
+term, and one Poisson series serves the whole window ladder.
+``transition_matrix`` is the dense path, run by the same series.
 
 The module derives the independence graph from the tables (a declared
 dependency whose rows never actually differ is vacuous and produces no
@@ -277,7 +283,8 @@ class _Compiled:
 
     ``deps[name]`` holds the positions of the component's dependencies,
     ``rates[name]`` its rates with shape ``(*dep_cards, card, card)``,
-    ``states`` the product states in index order, and ``src``, ``dst``,
+    ``states`` the product states in index order (``grid`` the same as
+    an ``(n_states, n_components)`` array), and ``src``, ``dst``,
     ``rate`` every joint transition in (state, component, destination)
     order."""
 
@@ -286,7 +293,7 @@ class _Compiled:
         space = spec.space
         n = space.n_states
         self.states = list(space.states())
-        grid = np.array(self.states, dtype=int)
+        self.grid = grid = np.array(self.states, dtype=int)
         self.deps: dict[str, tuple[int, ...]] = {}
         self.rates: dict[str, np.ndarray] = {}
         dst, rate, move = [], [], []
@@ -434,25 +441,53 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
 def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
     n = q.shape[0]
     lam = float(np.max(-np.diag(q)))
-    if h == 0.0 or lam <= 0.0:
+    if lam <= 0.0:
         return np.eye(n)
-    mean = lam * h
-    if mean > UNIFORMIZATION_MAX_MEAN:
-        half = _expm_uniformized(q, h / 2.0)
-        return half @ half
     kernel = np.eye(n) + q / lam
-    weight = math.exp(-mean)
-    cum = weight
-    power = np.eye(n)
-    out = weight * np.eye(n)
+    # The powers of the identity are K^k from either side; multiplying
+    # from the right keeps the dense rounding of P(h) = sum w_k I K^k.
+    (out,) = _uniformized(lambda v: v @ kernel, lam, np.eye(n), (h,))
+    return out
+
+
+def _uniformized(
+    step, lam: float, block: np.ndarray, hs: Sequence[float]
+) -> list[np.ndarray]:
+    """P(h) applied to ``block`` for every window h, where ``step``
+    applies the uniformized kernel K = I + Q / lam to a block.
+
+    P(h) is the Poisson(lam h) mixture of the powers of K.  One pass over
+    K^k @ block serves every window: each keeps its own Poisson weight
+    and cumulative mass, and leaves the sum once the mass it has not
+    yet added is at most POISSON_TAIL.  A window with lam h above
+    UNIFORMIZATION_MAX_MEAN is halved, P(h) B = P(h/2) (P(h/2) B), so
+    the weights never underflow.  Results are clipped at 0."""
+    out: list = [None] * len(hs)
+    short = []
+    for i, h in enumerate(hs):
+        if lam * h > UNIFORMIZATION_MAX_MEAN:
+            (half,) = _uniformized(step, lam, block, (h / 2.0,))
+            (out[i],) = _uniformized(step, lam, half, (h / 2.0,))
+        else:
+            short.append(i)
+    means = [lam * hs[i] for i in short]
+    weights = [math.exp(-mean) for mean in means]
+    cums = list(weights)
+    for i, weight in zip(short, weights):
+        out[i] = weight * block
+    power = block
     k = 0
-    while 1.0 - cum > POISSON_TAIL:
+    live = [j for j, cum in enumerate(cums) if 1.0 - cum > POISSON_TAIL]
+    while live:
         k += 1
-        power = power @ kernel
-        weight *= mean / k
-        cum += weight
-        out += weight * power
-    np.clip(out, 0.0, None, out=out)
+        power = step(power)
+        for j in live:
+            weights[j] *= means[j] / k
+            cums[j] += weights[j]
+            out[short[j]] += weights[j] * power
+        live = [j for j in live if 1.0 - cums[j] > POISSON_TAIL]
+    for o in out:
+        np.clip(o, 0.0, None, out=o)
     return out
 
 
@@ -555,6 +590,11 @@ def ci_decay(
 
     The conditioning set always includes the target's own time-zero
     state.  The source must not be in it.
+
+    P(target at h | state at 0) is computed for every h at once by
+    uniformization applied to the n x card_t block of target indicators
+    through the spec's compiled transitions; the dense P(h) is never
+    formed.
     """
     comp = spec._compiled
     space = spec.space
@@ -573,7 +613,7 @@ def ci_decay(
         raise ValueError(f"window lengths must be strictly decreasing and >= {MIN_H}")
 
     w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
-    states = np.array(comp.states, dtype=int)
+    states = comp.grid
     n = space.n_states
     card_t = space.cards[t_idx]
     card_s = space.cards[s_idx]
@@ -583,11 +623,22 @@ def ci_decay(
     onehot = np.zeros((n, card_t))
     onehot[np.arange(n), states[:, t_idx]] = 1.0
 
-    gen = build_generator(spec)
+    # Every state has the same number of transitions, so the compiled
+    # arrays reshape to (state, transition); K v = stay v + sum rate/lam v[dst].
+    dst = comp.dst.reshape(n, -1)
+    rate = comp.rate.reshape(n, -1)
+    exit_rate = rate.sum(axis=1)
+    lam = float(exit_rate.max())
+    scale = 1.0 / lam if lam > 0.0 else 0.0
+    rate = rate * scale
+    stay = (1.0 - exit_rate * scale)[:, None]
+
+    def step(v):
+        return stay * v + np.einsum("nm,nmc->nc", rate, v[dst])
+
     cmis = []
-    for h in hs:
-        p_h = _expm_uniformized(gen.matrix, h)
-        p_target = p_h @ onehot  # P(target state at h | full state at 0)
+    # P(target state at h | full state at 0), for every h
+    for p_target in _uniformized(step, lam, onehot, hs):
         joint = np.zeros((int(np.prod(w_cards)), card_s, card_t))
         np.add.at(joint, (w_ids, s0), pi[:, None] * p_target)
         cmis.append(_cmi(joint))
@@ -707,25 +758,36 @@ def estimate_intensities(
     trajectories: Sequence[Trajectory], spec: CfmpSpec
 ) -> IntensityEstimates:
     """Rate estimates under the spec's dependency structure: events in a
-    cell divided by the total time exposed in that cell."""
+    cell divided by the total time exposed in that cell.  Raises
+    ValueError when a trajectory's states do not fit the spec's
+    components and cardinalities."""
     comp = spec._compiled
     space = spec.space
+    cards = space.cards
+    values = [range(c) for c in cards]
     exposure: dict[str, dict[tuple, float]] = {n: defaultdict(float) for n in space.names}
     counts: dict[str, dict[tuple, int]] = {n: defaultdict(int) for n in space.names}
     for traj in trajectories:
-        for state, dwell in traj.states_and_durations():
-            for ki, name in enumerate(space.names):
-                given = tuple(state[p] for p in comp.deps[name])
-                exposure[name][(given, state[ki])] += dwell
         prev = traj.initial
+        if len(prev) != len(cards) or not all(v in r for v, r in zip(prev, values)):
+            raise ValueError(f"initial state {prev} does not fit the cardinalities {cards}")
+        # A Trajectory's consecutive states differ in exactly one
+        # component within their common length, so checking each jump's
+        # length and changed value checks every state the exposures visit.
         for _, state in traj.jumps:
             ki = next(
-                i for i in range(len(state)) if state[i] != prev[i]
+                i for i in range(len(prev)) if state[i] != prev[i]
             )
+            if len(state) != len(cards) or state[ki] not in values[ki]:
+                raise ValueError(f"state {state} does not fit the cardinalities {cards}")
             name = space.names[ki]
             given = tuple(prev[p] for p in comp.deps[name])
             counts[name][(given, prev[ki], state[ki])] += 1
             prev = state
+        for state, dwell in traj.states_and_durations():
+            for ki, name in enumerate(space.names):
+                given = tuple(state[p] for p in comp.deps[name])
+                exposure[name][(given, state[ki])] += dwell
 
     cells: dict[str, dict[tuple[tuple[int, ...], int], CellEstimate]] = {}
     for name, card in zip(space.names, space.cards):
@@ -841,6 +903,9 @@ def spec_from_json_dict(data: dict) -> CfmpSpec:
     cards = [_field(c, "states", _INT, f"component {i}") for i, c in enumerate(comps)]
     space = ComponentSpace(tuple(names), tuple(cards))
     intens_data = _field(data, "intensities", _OBJECT, "process spec JSON", {})
+    for key in intens_data:
+        if key not in names:
+            raise ValueError(f"'intensities' has an entry for unknown component {key!r}")
     intensities = {}
     for name in names:
         entry = _field(intens_data, name, _OBJECT, "'intensities'", {})

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ligraph.cfmp import (
     Trajectory,
     build_generator,
     ci_decay,
+    classify_decay,
     component_depends_only_on,
     derive_graph,
     estimate_intensities,
@@ -38,7 +41,11 @@ from ligraph.cfmp import (
     vacuous_dependencies,
     validate_spec,
 )
-from ligraph.fixtures import home_visits_process, three_cycle_process
+from ligraph.fixtures import (
+    home_visits_process,
+    independent_pair_process,
+    three_cycle_process,
+)
 from ligraph.graphoid import build_truth_table
 from ligraph.graphs import UnknownNodeError
 
@@ -60,6 +67,77 @@ def binary_pair(rate_x=(1.0, 1.0), rate_y=(1.0, 1.0), y_deps=()):
             "y": ComponentIntensity(tuple(y_deps), rows_y),
         },
     )
+
+
+def scaled_rates(spec, factor):
+    return CfmpSpec(
+        spec.space,
+        {
+            name: ComponentIntensity(
+                ci.depends_on,
+                tuple(RateRow(r.given, r.source, r.target, factor * r.rate) for r in ci.rows),
+            )
+            for name, ci in spec.intensities.items()
+        },
+    )
+
+
+def binary_ring(k, seed=0):
+    """k binary components in a directed ring, c{i} listening to c{i-1},
+    with random rates in [0.5, 2]."""
+    rng = random.Random(seed)
+    names = tuple(f"c{i}" for i in range(k))
+    return CfmpSpec(
+        ComponentSpace(names, (2,) * k),
+        {
+            name: ComponentIntensity(
+                (names[i - 1],),
+                tuple(
+                    RateRow((v,), s, 1 - s, rng.uniform(0.5, 2.0))
+                    for v in (0, 1)
+                    for s in (0, 1)
+                ),
+            )
+            for i, name in enumerate(names)
+        },
+    )
+
+
+def dense_decay_cmis(spec, pi, target, source, cond, hs):
+    """Reference for ci_decay's CMIs: the dense scipy expm(Q h) applied to
+    the one-hot target block, then the same joint table and _cmi."""
+    space = spec.space
+    q = build_generator(spec).matrix
+    states = np.array(list(space.states()))
+    t, s = space.index_of(target), space.index_of(source)
+    w = sorted({space.index_of(c) for c in cond} | {t})
+    w_cards = [space.cards[i] for i in w]
+    w_ids = np.ravel_multi_index([states[:, i] for i in w], w_cards)
+    onehot = np.eye(space.cards[t])[states[:, t]]
+    cmis = []
+    for h in hs:
+        joint = np.zeros((int(np.prod(w_cards)), space.cards[s], space.cards[t]))
+        np.add.at(joint, (w_ids, states[:, s]), pi[:, None] * (expm(q * h) @ onehot))
+        cmis.append(cfmp._cmi(joint))
+    return cmis
+
+
+def assert_decay_matches_dense(spec, hs=cfmp.DEFAULT_HS):
+    """On every ordered (source, target) pair, conditioning on the rest
+    and on nothing, from the uniform and the stationary law."""
+    laws = (
+        uniform_distribution(spec.space),
+        stationary_distribution(build_generator(spec)),
+    )
+    names = spec.space.names
+    for pi in laws:
+        for source, target in itertools.permutations(names, 2):
+            rest = [n for n in names if n not in (source, target)]
+            for cond in (rest, ()):
+                report = ci_decay(spec, pi, target, source, cond, hs)
+                ref = dense_decay_cmis(spec, pi, target, source, cond, hs)
+                assert np.max(np.abs(np.subtract(report.cmis, ref))) <= 1e-12
+                assert report.decay_class == classify_decay(hs, ref)[0]
 
 
 class TestValidation:
@@ -412,6 +490,45 @@ class TestCiDecay:
         r2 = ci_decay(cycle3_spec, pi, "a", "b", ("c",))
         assert r1.cmis == r2.cmis
 
+    @pytest.mark.parametrize(
+        "make", [three_cycle_process, home_visits_process, independent_pair_process]
+    )
+    def test_matches_dense_expm(self, make):
+        assert_decay_matches_dense(make())
+
+    def test_matches_dense_expm_when_halving(self):
+        # every window of the default ladder has lam h > UNIFORMIZATION_MAX_MEAN
+        assert_decay_matches_dense(scaled_rates(three_cycle_process(), 400.0))
+
+    def test_matches_dense_expm_on_long_windows(self):
+        assert_decay_matches_dense(three_cycle_process(), hs=(100.0, 7.0, 0.3))
+
+    def test_4096_states(self):
+        spec = binary_ring(12)
+        assert spec.space.n_states == cfmp.MAX_PRODUCT_STATES
+        pi = uniform_distribution(spec.space)
+        names = spec.space.names
+
+        def report(source, target):
+            cond = [n for n in names if n not in (source, target)]
+            return ci_decay(spec, pi, target, source, cond)
+
+        assert ("c0", "c1") in derive_graph(spec).edges
+        assert report("c0", "c1").decay_class == "slow"
+        assert report("c5", "c1").decay_class in ("fast", "zero")
+
+    def test_never_forms_the_dense_transition_matrix(self, monkeypatch, visits_spec):
+        pi = stationary_distribution(build_generator(visits_spec))
+        expected = ci_decay(visits_spec, pi, "hosp", "survival", ("health", "visits"))
+
+        def dense(*args):
+            raise AssertionError("ci_decay formed a dense matrix")
+
+        monkeypatch.setattr(cfmp, "build_generator", dense)
+        monkeypatch.setattr(cfmp, "_expm_uniformized", dense)
+        report = ci_decay(visits_spec, pi, "hosp", "survival", ("health", "visits"))
+        assert report.to_json_dict() == expected.to_json_dict()
+
 
 class TestStationaryDistribution:
     def test_solves_balance(self, visits_spec):
@@ -533,6 +650,21 @@ class TestEstimate:
         ]
         for rate, expo in rates:
             assert abs(rate - 1.5) <= 3 * math.sqrt(1.5 / expo)
+
+    @pytest.mark.parametrize(
+        "initial, jumps",
+        [
+            pytest.param((0, 0, 5), (), id="initial-out-of-range"),
+            pytest.param((0.5, 0, 0), (), id="initial-fraction"),
+            pytest.param((0, 0), (), id="initial-short"),
+            pytest.param((0, 0, 0, 0), (), id="initial-long"),
+            pytest.param((0, 0, 0), ((1.0, (0, 0, 2)),), id="jump-out-of-range"),
+            pytest.param((0, 0, 0), ((1.0, (1, 0)),), id="jump-short"),
+        ],
+    )
+    def test_rejects_trajectory_outside_spec(self, cycle3_spec, initial, jumps):
+        with pytest.raises(ValueError, match="does not fit"):
+            estimate_intensities([Trajectory(initial, jumps, 5.0)], cycle3_spec)
 
     def test_exposure_accounts_for_full_horizon(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)

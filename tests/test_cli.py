@@ -280,6 +280,10 @@ class TestDeriveGraph:
             ),
             pytest.param(("intensities", "a", "table", 0, "rate"), True, id="rate-bool"),
             pytest.param(("intensities", "a", "table", 0, "rate"), "0.5", id="rate-string"),
+            pytest.param(
+                ("intensities", "zz"), {"depends_on": ["nope"], "table": "garbage"},
+                id="unknown-component",
+            ),
         ],
     )
     def test_spec_ill_typed_field_errors(self, capsys, tmp_path, path, value):
