@@ -8,12 +8,16 @@ the same instant, so the joint generator is sparse: entries between
 product states differing in two or more components are exactly zero.
 
 A spec is immutable.  The first operation that needs it validates it,
-once, and compiles it into one transition structure: each component's
-rates as a dense array over (dependency configuration, source, target),
-and the joint chain's transitions as (source, target, rate) arrays over
-the product states.  The generator, the constancy checks, simulation,
-estimation and the decay reports all read that structure.  A spec that
-fails validation is not compiled and raises again on every call.
+once, and compiles it into one transition structure laid out per
+product state: each component's rates as a dense array over (dependency
+configuration, source, target), each state's flat index into every
+component's (dependency configuration, own state) rate cells, and each
+state's row of joint transitions, a target state and a rate for every
+(component, destination).  The generator, the constancy checks,
+simulation, estimation and the decay reports all index that layout
+directly; estimation counts jumps and dwell times per cell with one
+``bincount`` each.  A spec that fails validation is not compiled and
+raises again on every call.
 
 Decay reports never form the dense transition matrix P(h).  They
 uniformize the n x card_t block of target indicators through the
@@ -36,7 +40,6 @@ import functools
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -177,6 +180,8 @@ class Trajectory:
         for t, state in self.jumps:
             if not (prev_t < t <= self.horizon):
                 raise ValueError(f"jump times must increase within the horizon: {t}")
+            if len(state) != len(self.initial):
+                raise ValueError(f"state {state} does not have {len(self.initial)} entries")
             if sum(a != b for a, b in zip(prev, state)) != 1:
                 raise ValueError("consecutive states must differ in exactly one component")
             prev_t, prev = t, state
@@ -279,55 +284,56 @@ def ensure_valid(spec: CfmpSpec) -> None:
 
 
 class _Compiled:
-    """A valid spec's transition structure, built once per spec.
+    """A valid spec's transition structure, built once per spec and laid
+    out once per product state.
 
-    ``deps[name]`` holds the positions of the component's dependencies,
-    ``rates[name]`` its rates with shape ``(*dep_cards, card, card)``,
-    ``states`` the product states in index order (``grid`` the same as
-    an ``(n_states, n_components)`` array), and ``src``, ``dst``,
-    ``rate`` every joint transition in (state, component, destination)
-    order."""
+    ``states`` holds the product states in index order, ``index`` maps
+    each back to its index and ``grid`` is the same as an
+    ``(n_states, n_components)`` array.  ``rates[name]`` holds a
+    component's rates with shape ``(*dep_cards, card, card)`` and
+    ``cell[name]`` each state's flat index into that table's
+    (dependency configuration, own state) cells.  Every state has the
+    same m = sum(card - 1) transitions, so ``dst`` and ``rate`` are
+    ``(n_states, m)`` rows in (component, destination) order."""
 
     def __init__(self, spec: CfmpSpec):
         ensure_valid(spec)
         space = spec.space
         n = space.n_states
         self.states = list(space.states())
+        self.index = {state: i for i, state in enumerate(self.states)}
         self.grid = grid = np.array(self.states, dtype=int)
-        self.deps: dict[str, tuple[int, ...]] = {}
         self.rates: dict[str, np.ndarray] = {}
-        dst, rate, move = [], [], []
+        self.cell: dict[str, np.ndarray] = {}
+        dst, rate = [], []
         for ki, (name, card, stride) in enumerate(zip(space.names, space.cards, space.strides)):
             ci = spec.intensities[name]
             deps = tuple(space.index_of(d) for d in ci.depends_on)
             table = np.zeros(tuple(space.cards[p] for p in deps) + (card, card))
             for r in ci.rows:
                 table[r.given + (r.source, r.target)] = r.rate
-            self.deps[name], self.rates[name] = deps, table
             own = grid[:, ki : ki + 1]
-            targets = np.arange(card)[None, :]
+            axes = tuple(grid[:, p] for p in deps + (ki,))
+            cell = np.ravel_multi_index(axes, table.shape[:-1])
+            self.rates[name], self.cell[name] = table, cell
+            targets = np.arange(card - 1)[None, :]
+            targets = targets + (targets >= own)
             dst.append(np.arange(n)[:, None] + (targets - own) * stride)
-            rate.append(table[tuple(grid[:, p] for p in deps) + (grid[:, ki],)])
-            move.append(targets != own)
-        move = np.concatenate(move, axis=1).ravel()
-        self.dst, self.rate = (np.concatenate(a, axis=1).ravel()[move] for a in (dst, rate))
-        # every state has the same number of transitions, sum(card - 1)
-        self.src = np.repeat(np.arange(n), sum(space.cards) - len(space.cards))
+            rate.append(table.reshape(-1, card)[cell[:, None], targets])
+        self.dst, self.rate = np.concatenate(dst, axis=1), np.concatenate(rate, axis=1)
 
     @functools.cached_property
     def jump_table(self) -> list[tuple[float, np.ndarray, list[int]]]:
         """Per product state: total exit rate, cumulative transition
         weights, and the state index reached by each transition."""
-        live = self.rate > 0.0
-        rate, dst = self.rate[live], self.dst[live]
-        bounds = np.searchsorted(self.src[live], np.arange(len(self.states) + 1))
         out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for rate, dst in zip(self.rate, self.dst):
+            live = rate > 0.0
             # a sequential cumsum in (component, destination) order, with
             # total as its last entry, keeps the sampled stream fixed
-            cum = np.cumsum(rate[lo:hi])
-            total = float(cum[-1]) if hi > lo else 0.0
-            out.append((total, cum / total if hi > lo else cum, dst[lo:hi].tolist()))
+            cum = np.cumsum(rate[live])
+            total = float(cum[-1]) if len(cum) else 0.0
+            out.append((total, cum / total if len(cum) else cum, dst[live].tolist()))
         return out
 
 
@@ -422,7 +428,7 @@ def build_generator(spec: CfmpSpec) -> Generator:
     comp = spec._compiled
     n = spec.space.n_states
     q = np.zeros((n, n))
-    q[comp.src, comp.dst] = comp.rate
+    q[np.arange(n)[:, None], comp.dst] = comp.rate
     q[np.arange(n), np.arange(n)] = -q.sum(axis=1)
     q.setflags(write=False)
     return Generator(spec.space, q)
@@ -433,8 +439,8 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
     mixing of powers of the uniformized kernel (series truncated when the
     Poisson tail mass drops below 1e-14).  Nonnegativity and unit row
     sums hold by construction."""
-    if h < 0:
-        raise ValueError(f"window length must be nonnegative, got {h}")
+    if not (0 <= h < math.inf):
+        raise ValueError(f"window length must be nonnegative and finite, got {h}")
     return _expm_uniformized(np.asarray(gen.matrix, dtype=float), float(h))
 
 
@@ -607,10 +613,10 @@ def ci_decay(
     if source == target or source in cond:
         raise ValueError("source must be outside the conditioning set and target")
     hs = tuple(float(h) for h in hs)
-    if any(h < MIN_H for h in hs) or any(
+    if any(not (MIN_H <= h < math.inf) for h in hs) or any(
         hs[i] <= hs[i + 1] for i in range(len(hs) - 1)
     ):
-        raise ValueError(f"window lengths must be strictly decreasing and >= {MIN_H}")
+        raise ValueError(f"window lengths must be finite, strictly decreasing and >= {MIN_H}")
 
     w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
     states = comp.grid
@@ -623,18 +629,15 @@ def ci_decay(
     onehot = np.zeros((n, card_t))
     onehot[np.arange(n), states[:, t_idx]] = 1.0
 
-    # Every state has the same number of transitions, so the compiled
-    # arrays reshape to (state, transition); K v = stay v + sum rate/lam v[dst].
-    dst = comp.dst.reshape(n, -1)
-    rate = comp.rate.reshape(n, -1)
-    exit_rate = rate.sum(axis=1)
+    # K v = stay v + sum rate/lam v[dst]
+    exit_rate = comp.rate.sum(axis=1)
     lam = float(exit_rate.max())
     scale = 1.0 / lam if lam > 0.0 else 0.0
-    rate = rate * scale
+    rate = comp.rate * scale
     stay = (1.0 - exit_rate * scale)[:, None]
 
     def step(v):
-        return stay * v + np.einsum("nm,nmc->nc", rate, v[dst])
+        return stay * v + np.einsum("nm,nmc->nc", rate, v[comp.dst])
 
     cmis = []
     # P(target state at h | full state at 0), for every h
@@ -763,48 +766,40 @@ def estimate_intensities(
     components and cardinalities."""
     comp = spec._compiled
     space = spec.space
-    cards = space.cards
-    values = [range(c) for c in cards]
-    exposure: dict[str, dict[tuple, float]] = {n: defaultdict(float) for n in space.names}
-    counts: dict[str, dict[tuple, int]] = {n: defaultdict(int) for n in space.names}
+    seg, src, dst, dwell = [], [], [], []
     for traj in trajectories:
-        prev = traj.initial
-        if len(prev) != len(cards) or not all(v in r for v, r in zip(prev, values)):
-            raise ValueError(f"initial state {prev} does not fit the cardinalities {cards}")
-        # A Trajectory's consecutive states differ in exactly one
-        # component within their common length, so checking each jump's
-        # length and changed value checks every state the exposures visit.
-        for _, state in traj.jumps:
-            ki = next(
-                i for i in range(len(prev)) if state[i] != prev[i]
-            )
-            if len(state) != len(cards) or state[ki] not in values[ki]:
-                raise ValueError(f"state {state} does not fit the cardinalities {cards}")
-            name = space.names[ki]
-            given = tuple(prev[p] for p in comp.deps[name])
-            counts[name][(given, prev[ki], state[ki])] += 1
-            prev = state
-        for state, dwell in traj.states_and_durations():
-            for ki, name in enumerate(space.names):
-                given = tuple(state[p] for p in comp.deps[name])
-                exposure[name][(given, state[ki])] += dwell
+        try:
+            ids = [comp.index[traj.initial]] + [comp.index[s] for _, s in traj.jumps]
+        except KeyError as exc:
+            raise ValueError(
+                f"state {exc.args[0]} does not fit the cardinalities {space.cards}"
+            ) from None
+        seg += ids
+        src += ids[:-1]
+        dst += ids[1:]
+        dwell += [d for _, d in traj.states_and_durations()]
+    seg, src, dst = (np.array(a, dtype=int) for a in (seg, src, dst))
+    changed = np.argmax(comp.grid[src] != comp.grid[dst], axis=1)
 
     cells: dict[str, dict[tuple[tuple[int, ...], int], CellEstimate]] = {}
-    for name, card in zip(space.names, space.cards):
+    for ki, (name, card) in enumerate(zip(space.names, space.cards)):
+        shape = comp.rates[name].shape[:-1]
+        size = math.prod(shape)
+        cell = comp.cell[name]
+        # an empty bincount is integer even with weights
+        exposure = np.bincount(cell[seg], weights=np.array(dwell), minlength=size)
+        exposure = exposure.astype(float).tolist()
+        moved = changed == ki
+        events = np.bincount(
+            cell[src[moved]] * card + comp.grid[dst[moved], ki], minlength=size * card
+        )
+        events = events.reshape(size, card).tolist()
         comp_cells = {}
-        for given in np.ndindex(comp.rates[name].shape[:-2]):
-            for src in range(card):
-                expo = exposure[name].get((given, src), 0.0)
-                events = {
-                    dst: counts[name].get((given, src, dst), 0)
-                    for dst in range(card)
-                    if dst != src
-                }
-                rates = {
-                    dst: (cnt / expo if expo > 0 else None)
-                    for dst, cnt in events.items()
-                }
-                comp_cells[(given, src)] = CellEstimate(expo, events, rates)
+        for i, (*given, own) in enumerate(np.ndindex(shape)):
+            expo = exposure[i]
+            counts = {t: events[i][t] for t in range(card) if t != own}
+            rates = {t: (cnt / expo if expo > 0 else None) for t, cnt in counts.items()}
+            comp_cells[(tuple(given), own)] = CellEstimate(expo, counts, rates)
         cells[name] = comp_cells
     depends_on = {name: spec.intensities[name].depends_on for name in space.names}
     return IntensityEstimates(space, depends_on, cells)

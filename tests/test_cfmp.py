@@ -250,6 +250,23 @@ class TestCompiledOnce:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         assert sum(len(t.jumps) for t in trajs) == jumps
 
+    @pytest.mark.parametrize(
+        "make, count, digest",
+        [
+            (three_cycle_process, 2,
+             "8ba600fb69ce3b7e99c6471363d4975879695088857f910889388b470c27b3c0"),
+            (home_visits_process, 2,
+             "c01725480a9096b0462f76a20ad4e59e2d0255fb135ddba70b886530e02093ac"),
+            (three_cycle_process, 0,
+             "4435541e598b3596ff7507d40b4de24f20a6116972bcca5758b1fc34bd426ecb"),
+        ],
+    )
+    def test_estimates_pinned(self, make, count, digest):
+        spec = make()
+        trajs = simulate_batch(spec, uniform_distribution(spec.space), 20.0, seed=7, count=count)
+        text = json.dumps(estimate_intensities(trajs, spec).to_json_dict(), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestGenerator:
     def test_independent_pair_matrix(self, independent_spec):
@@ -343,10 +360,11 @@ class TestTransitionMatrix:
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-10
         assert p.min() >= 0.0
 
-    def test_negative_window_rejected(self, cycle3_spec):
+    @pytest.mark.parametrize("h", [-0.1, math.nan, math.inf])
+    def test_negative_window_rejected(self, cycle3_spec, h):
         gen = build_generator(cycle3_spec)
         with pytest.raises(ValueError):
-            transition_matrix(gen, -0.1)
+            transition_matrix(gen, h)
 
 
 class TestConstancyChecks:
@@ -478,6 +496,9 @@ class TestCiDecay:
             ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=(0.05, 0.1))
         with pytest.raises(ValueError, match="decreasing"):
             ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=(0.1, 1e-5))
+        for hs in ((math.nan,), (math.inf,), (math.inf, 0.1), (0.2, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
 
     def test_rejects_source_in_cond(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
@@ -619,7 +640,7 @@ class TestEstimate:
         est = estimate_intensities([], cycle3_spec)
         for cells in est.cells.values():
             for cell in cells.values():
-                assert cell.exposure == 0.0
+                assert cell.exposure == 0.0 and type(cell.exposure) is float
                 assert all(r is None for r in cell.rates.values())
 
     def test_round_trip_within_three_se(self, cycle3_spec):
@@ -659,7 +680,6 @@ class TestEstimate:
             pytest.param((0, 0), (), id="initial-short"),
             pytest.param((0, 0, 0, 0), (), id="initial-long"),
             pytest.param((0, 0, 0), ((1.0, (0, 0, 2)),), id="jump-out-of-range"),
-            pytest.param((0, 0, 0), ((1.0, (1, 0)),), id="jump-short"),
         ],
     )
     def test_rejects_trajectory_outside_spec(self, cycle3_spec, initial, jumps):
@@ -673,6 +693,16 @@ class TestEstimate:
         for cells in est.cells.values():
             total = sum(cell.exposure for cell in cells.values())
             assert total == pytest.approx(200.0)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize(
+        "state",
+        [pytest.param((1, 0), id="jump-short"), pytest.param((1, 0, 0, 0), id="jump-long")],
+    )
+    def test_rejects_ragged_states(self, state):
+        with pytest.raises(ValueError, match="entries"):
+            Trajectory((0, 0, 0), ((1.0, state),), 5.0)
 
 
 class TestWireFormats:

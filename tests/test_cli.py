@@ -330,6 +330,15 @@ class TestCiCheck:
         assert_one_line_error(code, out, err)
         assert "not unique" in err
 
+    @pytest.mark.parametrize("hs", ["nan", "inf", "0.1 nan"])
+    def test_non_finite_window_errors(self, capsys, hs):
+        code, out, err = run(
+            capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),
+            "--target", "a", "--source", "b", "--hs", hs,
+        )
+        assert_one_line_error(code, out, err)
+        assert "finite" in err
+
     def test_custom_windows(self, capsys):
         code, out, _ = run(
             capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),
