@@ -53,6 +53,9 @@ MAX_PRODUCT_STATES = 4096
 RATE_CONSTANCY_RTOL = 1e-9
 POISSON_TAIL = 1e-14
 UNIFORMIZATION_MAX_MEAN = 50.0
+# Largest lam * h accepted for a window: halving it down to
+# UNIFORMIZATION_MAX_MEAN takes at most 2**8 passes of the series.
+MAX_WINDOW_MEAN = 1.0e4
 CMI_PROB_FLOOR = 1e-15
 CMI_ZERO_TOL = 1e-12
 # The target's own jump within a window of length h is an event of
@@ -113,12 +116,6 @@ class ComponentSpace:
 
     def states(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(c) for c in self.cards))
-
-    def state_index(self, state: Sequence[int]) -> int:
-        idx = 0
-        for v, s in zip(state, self.strides):
-            idx += v * s
-        return idx
 
 
 @dataclass(frozen=True)
@@ -438,7 +435,8 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
     """Transition probabilities over a window of length h, by Poisson
     mixing of powers of the uniformized kernel (series truncated when the
     Poisson tail mass drops below 1e-14).  Nonnegativity and unit row
-    sums hold by construction."""
+    sums hold by construction.  A window whose length times the largest
+    exit rate is above MAX_WINDOW_MEAN is a ValueError."""
     if not (0 <= h < math.inf):
         raise ValueError(f"window length must be nonnegative and finite, got {h}")
     return _expm_uniformized(np.asarray(gen.matrix, dtype=float), float(h))
@@ -449,11 +447,21 @@ def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
     lam = float(np.max(-np.diag(q)))
     if lam <= 0.0:
         return np.eye(n)
+    _check_window_means(lam, (h,))
     kernel = np.eye(n) + q / lam
     # The powers of the identity are K^k from either side; multiplying
     # from the right keeps the dense rounding of P(h) = sum w_k I K^k.
     (out,) = _uniformized(lambda v: v @ kernel, lam, np.eye(n), (h,))
     return out
+
+
+def _check_window_means(lam: float, hs: Sequence[float]) -> None:
+    for h in hs:
+        if not lam * h <= MAX_WINDOW_MEAN:
+            raise ValueError(
+                f"window length {h:g} times the largest exit rate {lam:g} is above "
+                f"{MAX_WINDOW_MEAN:g}; use a shorter window"
+            )
 
 
 def _uniformized(
@@ -467,7 +475,9 @@ def _uniformized(
     and cumulative mass, and leaves the sum once the mass it has not
     yet added is at most POISSON_TAIL.  A window with lam h above
     UNIFORMIZATION_MAX_MEAN is halved, P(h) B = P(h/2) (P(h/2) B), so
-    the weights never underflow.  Results are clipped at 0."""
+    the weights never underflow; callers keep lam h within
+    MAX_WINDOW_MEAN, which bounds the halving.  Results are clipped
+    at 0."""
     out: list = [None] * len(hs)
     short = []
     for i, h in enumerate(hs):
@@ -595,7 +605,8 @@ def ci_decay(
     nats for each window length h, starting the process from ``pi``.
 
     The conditioning set always includes the target's own time-zero
-    state.  The source must not be in it.
+    state.  The source must not be in it.  Each window's length times
+    the largest exit rate must be at most MAX_WINDOW_MEAN.
 
     P(target at h | state at 0) is computed for every h at once by
     uniformization applied to the n x card_t block of target indicators
@@ -632,6 +643,7 @@ def ci_decay(
     # K v = stay v + sum rate/lam v[dst]
     exit_rate = comp.rate.sum(axis=1)
     lam = float(exit_rate.max())
+    _check_window_means(lam, hs)
     scale = 1.0 / lam if lam > 0.0 else 0.0
     rate = comp.rate * scale
     stay = (1.0 - exit_rate * scale)[:, None]

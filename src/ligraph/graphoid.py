@@ -37,7 +37,13 @@ same rules:
 - rank space (``check_axiom`` / ``check_derived``): every quantified
   set is an array of subset ranks, and the whole lattice is evaluated
   at once with numpy against a precomputed truth table, so exhaustive
-  sweeps over thousands of graphs stay fast;
+  sweeps over thousands of graphs stay fast.  Ranks are ``uint16``
+  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one gather from
+  the flattened table at ``a*S^2 + b*S + c`` (S = 2^n subsets), which
+  stays below 2^15 at ``MAX_AXIOM_GROUND``; the set operators gather
+  from flat S x S tables the same way.  When the table has no
+  out-of-domain triple (always so for ``overlap_reducible`` oracles
+  such as delta-separation) the evaluability gather is skipped;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
   the truth table.
@@ -62,6 +68,11 @@ from .separation import EnumerationGuardError, delta_separates_masks
 
 MAX_AXIOM_GROUND = 5
 MAX_SEARCH_GROUND = 4
+# Subset ranks and flat truth-table indices a*S^2 + b*S + c share this
+# dtype; its range must cover S^3 - 1 for S = 2**MAX_AXIOM_GROUND.  A
+# narrow index keeps the S^4-cell gathers of the checks cheap in time
+# and memory.
+RANK_DTYPE = np.uint16
 
 
 class OracleDomainError(Exception):
@@ -189,6 +200,27 @@ class ProfileReport:
 # --- rank-space tables ------------------------------------------------------
 
 
+_GATHER_CHUNK = 1 << 14
+
+
+def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``table[idx]`` for a flat table and a narrow index.  A large index
+    is widened to intp one chunk at a time: numpy's own cast inside
+    fancy indexing costs about twice as much, and widening all of it at
+    once would quadruple the index's memory."""
+    if idx.size <= _GATHER_CHUNK:
+        return table[idx]
+    flat = idx.reshape(-1)
+    out = np.empty(flat.size, dtype=table.dtype)
+    wide = np.empty(_GATHER_CHUNK, dtype=np.intp)
+    for lo in range(0, flat.size, _GATHER_CHUNK):
+        part = flat[lo : lo + _GATHER_CHUNK]
+        w = wide[: part.size]
+        w[...] = part
+        np.take(table, w, out=out[lo : lo + part.size])
+    return out.reshape(idx.shape)
+
+
 class _Tables:
     """Per-ground lookup tables: subset ranks and rank-space set algebra."""
 
@@ -204,22 +236,30 @@ class _Tables:
         self.n = n
         self.size = size
         self.masks = np.array(order, dtype=np.int64)  # rank -> mask
-        rank_of = np.empty(size, dtype=np.int64)
+        rank_of = np.empty(size, dtype=RANK_DTYPE)
         rank_of[self.masks] = np.arange(size)
         self.rank_of = rank_of  # mask -> rank
+        # flat index strides, as RANK_DTYPE scalars so products stay narrow
+        self.stride_a = RANK_DTYPE(size * size)
+        self.stride_b = RANK_DTYPE(size)
         mi = self.masks[:, None]
         mj = self.masks[None, :]
-        self.union = rank_of[mi | mj]
-        self.inter = rank_of[mi & mj]
-        self.diff = rank_of[mi & ~mj]
-        self.subset = (mi & ~mj) == 0  # subset[i, j]: set_i <= set_j
-        self.disjoint = (mi & mj) == 0
+        # pair tables, flat: entry i * S + j is for the rank pair (i, j)
+        self.union = rank_of[mi | mj].reshape(-1)
+        self.inter = rank_of[mi & mj].reshape(-1)
+        self.diff = rank_of[mi & ~mj].reshape(-1)
+        self.subset = ((mi & ~mj) == 0).reshape(-1)  # set_i <= set_j
+        self.disjoint = ((mi & mj) == 0).reshape(-1)
         # reduction indices: values[A,B,C] = core[A-(B|C), B, C-B]
         a3 = self.masks[:, None, None]
         b3 = self.masks[None, :, None]
         c3 = self.masks[None, None, :]
         self.red_a = rank_of[a3 & ~(b3 | c3)]  # (S, S, S)
         self.red_c = rank_of[mj & ~mi]  # (S, S) indexed [B, C]
+
+    def pair(self, table: np.ndarray, i, j) -> np.ndarray:
+        """Look up the rank pairs (i, j) in one of the flat pair tables."""
+        return _gather(table, i * self.stride_b + j)
 
     def set_of(self, rank: int) -> frozenset[str]:
         m = int(self.masks[rank])
@@ -233,12 +273,15 @@ def _tables(ground: tuple[str, ...]) -> _Tables:
 
 @dataclass
 class TruthTable:
-    """Oracle answers for every subset triple, indexed by subset rank."""
+    """Oracle answers for every subset triple, indexed by subset rank.
+
+    ``all_evaluable`` records that no triple raised OracleDomainError."""
 
     oracle: IrrelevanceOracle
     tables: _Tables
     values: np.ndarray
     evaluable: np.ndarray
+    all_evaluable: bool
 
 
 def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
@@ -280,12 +323,12 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
                         values[i, j, k] = oracle.query(sets[i], sets[j], sets[k])
                     except OracleDomainError:
                         evaluable[i, j, k] = False
-    return TruthTable(oracle, t, values, evaluable)
+    return TruthTable(oracle, t, values, evaluable, bool(evaluable.all()))
 
 
 def _axes(size: int, k: int):
     """Index arrays for k nested quantifiers, broadcastable to (size,)*k."""
-    ar = np.arange(size)
+    ar = np.arange(size, dtype=RANK_DTYPE)
     out = []
     for axis in range(k):
         shape = [1] * k
@@ -359,16 +402,16 @@ class _Ranks:
         self.r = r
 
     def __or__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.union[self.r, other.r])
+        return _Ranks(self.t, self.t.pair(self.t.union, self.r, other.r))
 
     def __and__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.inter[self.r, other.r])
+        return _Ranks(self.t, self.t.pair(self.t.inter, self.r, other.r))
 
     def __sub__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.diff[self.r, other.r])
+        return _Ranks(self.t, self.t.pair(self.t.diff, self.r, other.r))
 
     def __le__(self, other: "_Ranks") -> np.ndarray:
-        return self.t.subset[self.r, other.r]
+        return self.t.pair(self.t.subset, self.r, other.r)
 
 
 class _RankSpace:
@@ -377,19 +420,27 @@ class _RankSpace:
 
     def __init__(self, tt: TruthTable):
         self.tt = tt
+        self.values = tt.values.reshape(-1)
+        self.cell_evaluable = None if tt.all_evaluable else tt.evaluable.reshape(-1)
         # seeded with a numpy bool so masks stay boolean (Python's ~True is -2)
         self.evaluable = np.True_
 
     def q(self, a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
-        self.evaluable = self.evaluable & self.tt.evaluable[a.r, b.r, c.r]
-        return self.tt.values[a.r, b.r, c.r]
+        # one flat gather; the two smaller operands are summed first, so
+        # only the last addition runs at the full broadcast size
+        t = self.tt.tables
+        x, y, z = sorted((a.r * t.stride_a, b.r * t.stride_b, c.r), key=np.size)
+        idx = (x + y) + z
+        if self.cell_evaluable is not None:
+            self.evaluable = self.evaluable & _gather(self.cell_evaluable, idx)
+        return _gather(self.values, idx)
 
     def disjoint(self, *sets: _Ranks) -> np.ndarray:
-        table = self.tt.tables.disjoint
+        t = self.tt.tables
         out = np.True_
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
-                out = out & table[a.r, b.r]
+                out = out & t.pair(t.disjoint, a.r, b.r)
         return out
 
     def forall(self, s: _Ranks, clause) -> np.ndarray:

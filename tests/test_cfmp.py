@@ -366,6 +366,17 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             transition_matrix(gen, h)
 
+    def test_window_mean_cap(self, cycle3_spec):
+        gen = build_generator(cycle3_spec)
+        lam = float(np.max(-np.diag(gen.matrix)))
+        # finite but huge windows are rejected instead of halved without end
+        for h in (1e300, 1.01 * cfmp.MAX_WINDOW_MEAN / lam):
+            with pytest.raises(ValueError, match="largest exit rate"):
+                transition_matrix(gen, h)
+        p = transition_matrix(gen, 0.99 * cfmp.MAX_WINDOW_MEAN / lam)
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-10
+        assert p.min() >= 0.0
+
 
 class TestConstancyChecks:
     def test_no_dependencies_always_independent(self, independent_spec):
@@ -498,6 +509,9 @@ class TestCiDecay:
             ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=(0.1, 1e-5))
         for hs in ((math.nan,), (math.inf,), (math.inf, 0.1), (0.2, math.nan)):
             with pytest.raises(ValueError, match="finite"):
+                ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
+        for hs in ((1e300,), (1e300, 0.1)):
+            with pytest.raises(ValueError, match="largest exit rate"):
                 ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
 
     def test_rejects_source_in_cond(self, cycle3_spec):

@@ -339,6 +339,14 @@ class TestCiCheck:
         assert_one_line_error(code, out, err)
         assert "finite" in err
 
+    def test_huge_window_errors(self, capsys):
+        code, out, err = run(
+            capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),
+            "--target", "a", "--source", "b", "--hs", "1e300",
+        )
+        assert_one_line_error(code, out, err)
+        assert "largest exit rate" in err
+
     def test_custom_windows(self, capsys):
         code, out, _ = run(
             capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),

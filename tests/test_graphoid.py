@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -20,6 +21,9 @@ from ligraph.graphoid import (
     GRAPHOID_AXIOMS,
     IrrelevanceOracle,
     LOCAL_INDEPENDENCE_GUARANTEES,
+    MAX_AXIOM_GROUND,
+    OracleDomainError,
+    RANK_DTYPE,
     build_truth_table,
     check_axiom,
     check_derived,
@@ -188,7 +192,7 @@ class TestVectorizedEngineAgainstSlowPath:
     @pytest.mark.parametrize("seed", range(2))
     def test_partial_oracle_skips_match(self, seed):
         rng = random.Random(100 + seed)
-        ground = ("x", "y")
+        ground = ("x", "y", "z")
         subs = subsets_by_size(ground)
         answers = {
             (a, b, c): rng.random() < 0.5
@@ -196,25 +200,48 @@ class TestVectorizedEngineAgainstSlowPath:
             for b in subs
             for c in subs
         }
-        domain = {t for t in answers if rng.random() < 0.7}
+        domain = {t for t in answers if rng.random() < 0.9}
 
         def query(a, b, c):
             if (a, b, c) not in domain:
-                from ligraph.graphoid import OracleDomainError
-
                 raise OracleDomainError("out of domain")
             return answers[(a, b, c)]
 
         oracle = IrrelevanceOracle(ground=ground, query=query)
-        for prop in (Axiom.LEFT_CONTRACTION, Axiom.RIGHT_WEAK_UNION,
-                     DerivedProperty.GUARDED_RIGHT_DECOMPOSITION):
+        table = build_truth_table(oracle)
+        assert not table.all_evaluable
+        for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty):
             if isinstance(prop, Axiom):
-                report = check_axiom(oracle, prop)
+                report = check_axiom(oracle, prop, table)
             else:
-                report = check_derived(oracle, prop)
+                report = check_derived(oracle, prop, table)
             holds, first, checked, skipped = slow_check(oracle, prop)
-            assert (report.holds, report.counterexample) == (holds, first)
-            assert (report.checked, report.skipped) == (checked, skipped)
+            assert (report.holds, report.counterexample) == (holds, first), prop
+            assert (report.checked, report.skipped) == (checked, skipped), prop
+
+    @pytest.mark.parametrize("prop", [
+        Axiom.LEFT_REDUNDANCY,
+        Axiom.RIGHT_REDUNDANCY,
+        Axiom.LEFT_INTERSECTION,
+        Axiom.RIGHT_INTERSECTION,
+        DerivedProperty.LEFT_TRIM,
+        DerivedProperty.RIGHT_TRIM,
+    ])
+    def test_widest_ground(self, prop):
+        # the flat index a*S^2 + b*S + c reaches S^3 - 1 at the ground limit
+        assert (1 << MAX_AXIOM_GROUND) ** 3 - 1 <= np.iinfo(RANK_DTYPE).max
+        labels = tuple("abcdefgh"[:MAX_AXIOM_GROUND])
+        g = random_digraph(labels, random.Random(7), p=0.4)
+        oracle = delta_separation_oracle(g)
+        table = build_truth_table(oracle)
+        assert table.all_evaluable
+        if isinstance(prop, Axiom):
+            report = check_axiom(oracle, prop, table)
+        else:
+            report = check_derived(oracle, prop, table)
+        holds, first, checked, skipped = slow_check(oracle, prop)
+        assert (report.holds, report.counterexample) == (holds, first)
+        assert (report.checked, report.skipped) == (checked, skipped)
 
 
 class TestReducibleTableMatchesGenericTable:
