@@ -35,15 +35,17 @@ pairwise disjointness and ``x.forall(S, clause)`` requires
 same rules:
 
 - rank space (``check_axiom`` / ``check_derived``): every quantified
-  set is an array of subset ranks, and the whole lattice is evaluated
-  at once with numpy against a precomputed truth table, so exhaustive
-  sweeps over thousands of graphs stay fast.  Ranks are ``uint16``
-  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one gather from
-  the flattened table at ``a*S^2 + b*S + c`` (S = 2^n subsets), which
-  stays below 2^15 at ``MAX_AXIOM_GROUND``; the set operators gather
-  from flat S x S tables the same way.  When the table has no
-  out-of-domain triple (always so for ``overlap_reducible`` oracles
-  such as delta-separation) the evaluability gather is skipped;
+  set is an array of subset ranks, and the lattice is evaluated with
+  numpy against a precomputed truth table, one block of at most 2^16
+  cells at a time (``_BLOCK_CELLS``), so exhaustive sweeps over
+  thousands of graphs stay fast and every intermediate array stays
+  small.  Ranks are ``uint16`` (``RANK_DTYPE``), and each query
+  ``q(a, b, c)`` is one ``np.take`` from the flattened table at
+  ``a*S^2 + b*S + c`` (S = 2^n subsets), which stays below 2^15 at
+  ``MAX_AXIOM_GROUND``; the set operators gather from flat S x S
+  tables the same way.  When the table has no out-of-domain triple
+  (always so for ``overlap_reducible`` oracles such as
+  delta-separation) the evaluability gather is skipped;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
   the truth table.
@@ -200,27 +202,6 @@ class ProfileReport:
 # --- rank-space tables ------------------------------------------------------
 
 
-_GATHER_CHUNK = 1 << 14
-
-
-def _gather(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``table[idx]`` for a flat table and a narrow index.  A large index
-    is widened to intp one chunk at a time: numpy's own cast inside
-    fancy indexing costs about twice as much, and widening all of it at
-    once would quadruple the index's memory."""
-    if idx.size <= _GATHER_CHUNK:
-        return table[idx]
-    flat = idx.reshape(-1)
-    out = np.empty(flat.size, dtype=table.dtype)
-    wide = np.empty(_GATHER_CHUNK, dtype=np.intp)
-    for lo in range(0, flat.size, _GATHER_CHUNK):
-        part = flat[lo : lo + _GATHER_CHUNK]
-        w = wide[: part.size]
-        w[...] = part
-        np.take(table, w, out=out[lo : lo + part.size])
-    return out.reshape(idx.shape)
-
-
 class _Tables:
     """Per-ground lookup tables: subset ranks and rank-space set algebra."""
 
@@ -259,7 +240,7 @@ class _Tables:
 
     def pair(self, table: np.ndarray, i, j) -> np.ndarray:
         """Look up the rank pairs (i, j) in one of the flat pair tables."""
-        return _gather(table, i * self.stride_b + j)
+        return np.take(table, i * self.stride_b + j)
 
     def set_of(self, rank: int) -> frozenset[str]:
         m = int(self.masks[rank])
@@ -432,8 +413,8 @@ class _RankSpace:
         x, y, z = sorted((a.r * t.stride_a, b.r * t.stride_b, c.r), key=np.size)
         idx = (x + y) + z
         if self.cell_evaluable is not None:
-            self.evaluable = self.evaluable & _gather(self.cell_evaluable, idx)
-        return _gather(self.values, idx)
+            self.evaluable = self.evaluable & np.take(self.cell_evaluable, idx)
+        return np.take(self.values, idx)
 
     def disjoint(self, *sets: _Ranks) -> np.ndarray:
         t = self.tt.tables
@@ -458,37 +439,56 @@ class _RankSpace:
         return holds
 
 
-def _first_violation(viol: np.ndarray) -> tuple[int, ...] | None:
+# Cells per block of the first quantifier's axis.  A 4-set rule on five
+# nodes spans 2^20 cells; evaluated whole, every intermediate array is
+# fresh memory, so each check pays for thousands of page faults and
+# streams megabytes through the caches.  Blocks of this size keep the
+# intermediates small enough for the allocator to reuse in place.
+_BLOCK_CELLS = 1 << 16
+
+
+def _violations(tt: TruthTable, names: str, rule):
+    """Evaluate ``rule`` over every rank tuple, one block of the first
+    axis at a time, in order.  Yields (offset, structural domain,
+    evaluable domain, violations) for the first-axis ranks from offset
+    on, each of shape (rows,) + (size,) * (len(names) - 1)."""
+    t = tt.tables
+    first, *rest = _axes(t.size, len(names))
+    inner = (t.size,) * len(rest)
+    step = max(1, _BLOCK_CELLS // t.size ** len(rest))
+    for lo in range(0, t.size, step):
+        x = _RankSpace(tt)
+        sets = [_Ranks(t, first[lo : lo + step])] + [_Ranks(t, r) for r in rest]
+        side, premise, conclusion = rule(x, *sets)
+        shape = (min(step, t.size - lo),) + inner
+        struct = np.broadcast_to(side, shape)
+        dom = np.broadcast_to(struct & x.evaluable, shape)
+        yield lo, struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
+
+
+def _first_in(lo: int, viol: np.ndarray) -> tuple[int, ...] | None:
+    """The first violation in C order in one block at first-axis offset lo."""
     flat = viol.reshape(-1)
     idx = int(np.argmax(flat))
     if not flat[idx]:
         return None
-    return tuple(int(x) for x in np.unravel_index(idx, viol.shape))
-
-
-def _violations(tt: TruthTable, names: str, rule):
-    """Evaluate ``rule`` over every rank tuple: (structural domain,
-    evaluable domain, violations), each of shape (size,) * len(names)."""
-    t = tt.tables
-    x = _RankSpace(tt)
-    sets = [_Ranks(t, r) for r in _axes(t.size, len(names))]
-    side, premise, conclusion = rule(x, *sets)
-    shape = (t.size,) * len(names)
-    struct = np.broadcast_to(side, shape)
-    dom = np.broadcast_to(struct & x.evaluable, shape)
-    return struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
+    first, *rest = np.unravel_index(idx, viol.shape)
+    return (lo + int(first),) + tuple(int(x) for x in rest)
 
 
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
     names, rule = _RULES[prop]
-    struct, dom, viol = _violations(tt, names, rule)
-    checked = int(np.count_nonzero(dom))
-    skipped = int(np.count_nonzero(struct)) - checked
-    hit = _first_violation(viol)
+    checked = structural = 0
+    hit = None
+    for lo, struct, dom, viol in _violations(tt, names, rule):
+        checked += int(np.count_nonzero(dom))
+        structural += int(np.count_nonzero(struct))
+        if hit is None:
+            hit = _first_in(lo, viol)
     cx = None
     if hit is not None:
         cx = {name: tt.tables.set_of(rank) for name, rank in zip(names, hit)}
-    return CheckReport(prop, hit is None, cx, checked, skipped)
+    return CheckReport(prop, hit is None, cx, checked, structural - checked)
 
 
 def check_axiom(
@@ -635,8 +635,8 @@ def find_right_decomposition_counterexample(
 
     for g in enumerate_digraphs(labels):
         tt = build_truth_table(delta_separation_oracle(g))
-        _, _, viol = _violations(tt, names, disjoint_instance)
-        hit = _first_violation(viol)
+        blocks = _violations(tt, names, disjoint_instance)
+        hit = next(filter(None, (_first_in(lo, v) for lo, _, _, v in blocks)), None)
         if hit is not None:
             return g, {name: tt.tables.set_of(r) for name, r in zip(names, hit)}
     return None

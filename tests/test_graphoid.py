@@ -13,6 +13,7 @@ from helpers import (
     random_digraph,
     slow_check,
 )
+from ligraph import graphoid
 from ligraph.graphs import DiGraph, UGraph, enumerate_digraphs
 from ligraph.graphoid import (
     Axiom,
@@ -242,6 +243,39 @@ class TestVectorizedEngineAgainstSlowPath:
         holds, first, checked, skipped = slow_check(oracle, prop)
         assert (report.holds, report.counterexample) == (holds, first)
         assert (report.checked, report.skipped) == (checked, skipped)
+
+    # blocks of one first-axis rank, and at 5 nodes blocks of 3 ranks with
+    # a last block of 2, against the whole lattice in one block
+    @pytest.mark.parametrize("block_cells", [1, 3 << 15])
+    def test_blocks_match_whole_lattice(self, monkeypatch, block_cells):
+        labels = tuple("abcdefgh"[:MAX_AXIOM_GROUND])
+        full = delta_separation_oracle(random_digraph(labels, random.Random(7), p=0.4))
+        rng = random.Random(8)
+        subs = subsets_by_size(labels)
+        outside = {t for t in itertools.product(subs, repeat=3) if rng.random() < 0.1}
+
+        def query(a, b, c):
+            if (a, b, c) in outside:
+                raise OracleDomainError("out of domain")
+            return full.query(a, b, c)
+
+        partial = IrrelevanceOracle(ground=labels, query=query)
+        tables = [(o, build_truth_table(o)) for o in (full, partial)]
+
+        def reports():
+            return [
+                check_axiom(o, prop, t) if isinstance(prop, Axiom) else check_derived(o, prop, t)
+                for o, t in tables
+                for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty)
+            ]
+
+        monkeypatch.setattr(graphoid, "_BLOCK_CELLS", 1 << 20)
+        whole = reports()
+        monkeypatch.setattr(graphoid, "_BLOCK_CELLS", block_cells)
+        assert reports() == whole
+        # offsets matter: some first counterexample lies past the first rank
+        assert any(r.counterexample and r.counterexample["A"] for r in whole)
+        assert any(r.skipped for r in whole)
 
 
 class TestReducibleTableMatchesGenericTable:
