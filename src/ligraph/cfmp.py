@@ -25,6 +25,15 @@ compiled transitions, at O(n * transitions per state * card_t) per
 term, and one Poisson series serves the whole window ladder.
 ``transition_matrix`` is the dense path, run by the same series.
 
+A sampled path (``Trajectory``) is kept in its wire form, the form the
+JSONL files store: the initial product state and one (time, component
+index, new state) event per jump.  It is checked once, on construction,
+against its ``ComponentSpace`` by one vectorized function, which also
+yields each segment's product state index and dwell time and each
+jump's component; estimation reads those directly.  Simulation refuses
+a horizon whose length times the largest exit rate is above
+MAX_HORIZON_MEAN, before it samples anything.
+
 The module derives the independence graph from the tables (a declared
 dependency whose rows never actually differ is vacuous and produces no
 edge), validates the graph's separation statements numerically through
@@ -40,13 +49,13 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DiGraph, UnknownNodeError, _check_label
+from .graphs import DiGraph, UnknownNodeError, _check_label, _load_json
 from .graphoid import IrrelevanceOracle, OracleDomainError
 
 MAX_PRODUCT_STATES = 4096
@@ -56,6 +65,9 @@ UNIFORMIZATION_MAX_MEAN = 50.0
 # Largest lam * h accepted for a window: halving it down to
 # UNIFORMIZATION_MAX_MEAN takes at most 2**8 passes of the series.
 MAX_WINDOW_MEAN = 1.0e4
+# Largest lam * horizon accepted for a sample path, which bounds its
+# expected jump count.
+MAX_HORIZON_MEAN = 1.0e6
 CMI_PROB_FLOOR = 1e-15
 CMI_ZERO_TOL = 1e-12
 # The target's own jump within a window of length h is an event of
@@ -96,17 +108,11 @@ class ComponentSpace:
 
     @property
     def n_states(self) -> int:
-        out = 1
-        for c in self.cards:
-            out *= c
-        return out
+        return math.prod(self.cards)
 
     @property
     def strides(self) -> tuple[int, ...]:
-        out = [1] * len(self.cards)
-        for i in range(len(self.cards) - 2, -1, -1):
-            out[i] = out[i + 1] * self.cards[i + 1]
-        return tuple(out)
+        return tuple(math.prod(self.cards[i + 1 :]) for i in range(len(self.cards)))
 
     def index_of(self, name: str) -> int:
         try:
@@ -164,33 +170,75 @@ class Generator:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One sampled path: jump times with the full product state after
-    each jump.  Consecutive states differ in exactly one component."""
+    """One sampled path in its wire form: the initial product state and
+    one ``(time, component index, new state)`` event per jump.  It is
+    checked against ``space`` once, on construction, which also sets the
+    product state index and dwell time of each segment and the component
+    each jump moves."""
 
+    space: ComponentSpace
     initial: tuple[int, ...]
-    jumps: tuple[tuple[float, tuple[int, ...]], ...]
+    jumps: tuple[tuple[float, int, int], ...]
     horizon: float
+    _segments: np.ndarray = field(init=False, repr=False, compare=False)
+    _dwell: np.ndarray = field(init=False, repr=False, compare=False)
+    _moved: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prev_t = 0.0
-        prev = self.initial
-        for t, state in self.jumps:
-            if not (prev_t < t <= self.horizon):
-                raise ValueError(f"jump times must increase within the horizon: {t}")
-            if len(state) != len(self.initial):
-                raise ValueError(f"state {state} does not have {len(self.initial)} entries")
-            if sum(a != b for a, b in zip(prev, state)) != 1:
-                raise ValueError("consecutive states must differ in exactly one component")
-            prev_t, prev = t, state
+        checked = _check_path(self.space, self.initial, self.jumps, self.horizon)
+        for name, value in zip(("initial", "horizon", "_segments", "_dwell", "_moved"), checked):
+            object.__setattr__(self, name, value)
 
-    def states_and_durations(self):
-        """Yield (state, dwell time) segments covering [0, horizon]."""
-        prev_t = 0.0
-        prev = self.initial
-        for t, state in self.jumps:
-            yield prev, t - prev_t
-            prev_t, prev = t, state
-        yield prev, self.horizon - prev_t
+
+def _reject(jumps, bad: np.ndarray, why: str) -> None:
+    """A ValueError naming the first jump flagged in ``bad``, if any."""
+    if bad.any():
+        j = int(bad.argmax())
+        raise ValueError(f"jump {j} {jumps[j]!r} {why}")
+
+
+def _array(values, kinds: str, what: str) -> np.ndarray:
+    """``values`` as a 1-d array of one of the numpy dtype ``kinds``, cast
+    to float or int; anything else is a ValueError."""
+    out = np.array(values)
+    if out.ndim != 1 or out.dtype.kind not in kinds:
+        raise ValueError(f"{what} must be {'numbers' if 'f' in kinds else 'integers'}")
+    return out.astype(float if "f" in kinds else int)
+
+
+def _check_path(space: ComponentSpace, initial, jumps, horizon):
+    """The one check of a trajectory: a positive finite horizon, jump
+    times strictly increasing within (0, horizon], integer components
+    and states in range, and every jump changing its component's state.
+    Returns the initial state as a tuple of ints, the horizon as a float,
+    and each segment's product state index and dwell time and each
+    jump's component as arrays."""
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"trajectory horizon must be positive and finite, got {horizon!r}")
+    if not 0 < space.n_states <= MAX_PRODUCT_STATES:
+        raise ValueError(f"a trajectory's space must have 1 to {MAX_PRODUCT_STATES} states")
+    cards, init = np.array(space.cards), _array(initial, "iu", "initial states")
+    if init.shape != cards.shape or np.any((init < 0) | (init >= cards)):
+        raise ValueError(f"initial state {initial!r} does not fit the cardinalities {space.cards}")
+    if set(map(len, jumps)) - {3}:
+        raise ValueError("each jump must be a (time, component index, new state) triple")
+    times, comps, states = zip(*jumps) if len(jumps) else [np.zeros(0, dtype=int)] * 3
+    times = _array(times, "iuf", "jump times")
+    comps, states = _array(comps, "iu", "jump components"), _array(states, "iu", "new states")
+    dwell = np.diff(np.concatenate(([0.0], times, [horizon])))
+    unordered = ~(dwell[:-1] > 0) | (times > horizon)
+    _reject(jumps, unordered, "is not after the jump before it and within the horizon")
+    _reject(jumps, (comps < 0) | (comps >= len(cards)), "moves no component of the space")
+    _reject(jumps, (states < 0) | (states >= cards[comps]), "does not fit its component's states")
+    # full[i] is the product state after i jumps: each component holds
+    # the state its last jump so far set, or its initial state
+    rows = np.arange(1, len(jumps) + 1)
+    last = np.zeros((len(rows) + 1, len(cards)), dtype=int)
+    last[rows, comps] = rows
+    last = np.maximum.accumulate(last, axis=0)
+    full = np.where(last > 0, np.concatenate(([0], states))[last], init)
+    _reject(jumps, full[rows - 1, comps] == states, "does not change its component's state")
+    return tuple(init.tolist()), float(horizon), full @ space.strides, dwell, comps
 
 
 # --- validation ---------------------------------------------------------------
@@ -284,8 +332,7 @@ class _Compiled:
     """A valid spec's transition structure, built once per spec and laid
     out once per product state.
 
-    ``states`` holds the product states in index order, ``index`` maps
-    each back to its index and ``grid`` is the same as an
+    ``grid`` holds the product states in index order as an
     ``(n_states, n_components)`` array.  ``rates[name]`` holds a
     component's rates with shape ``(*dep_cards, card, card)`` and
     ``cell[name]`` each state's flat index into that table's
@@ -297,9 +344,7 @@ class _Compiled:
         ensure_valid(spec)
         space = spec.space
         n = space.n_states
-        self.states = list(space.states())
-        self.index = {state: i for i, state in enumerate(self.states)}
-        self.grid = grid = np.array(self.states, dtype=int)
+        self.grid = grid = np.stack(np.unravel_index(np.arange(n), space.cards), axis=1)
         self.rates: dict[str, np.ndarray] = {}
         self.cell: dict[str, np.ndarray] = {}
         dst, rate = [], []
@@ -320,17 +365,22 @@ class _Compiled:
         self.dst, self.rate = np.concatenate(dst, axis=1), np.concatenate(rate, axis=1)
 
     @functools.cached_property
-    def jump_table(self) -> list[tuple[float, np.ndarray, list[int]]]:
+    def jump_table(self) -> list[tuple[float, np.ndarray, list[tuple[int, int, int]]]]:
         """Per product state: total exit rate, cumulative transition
-        weights, and the state index reached by each transition."""
+        weights, and per transition the state index it reaches, the
+        component it moves and that component's new state."""
+        # card - 1 transitions per component, in component order
+        moved = np.repeat(np.arange(self.grid.shape[1]), self.grid.max(axis=0))
+        new = self.grid[self.dst, moved]
         out = []
-        for rate, dst in zip(self.rate, self.dst):
+        for rate, dst, state in zip(self.rate, self.dst, new):
             live = rate > 0.0
             # a sequential cumsum in (component, destination) order, with
             # total as its last entry, keeps the sampled stream fixed
             cum = np.cumsum(rate[live])
             total = float(cum[-1]) if len(cum) else 0.0
-            out.append((total, cum / total if len(cum) else cum, dst[live].tolist()))
+            moves = list(zip(dst[live].tolist(), moved[live].tolist(), state[live].tolist()))
+            out.append((total, cum / total if len(cum) else cum, moves))
         return out
 
 
@@ -447,7 +497,7 @@ def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
     lam = float(np.max(-np.diag(q)))
     if lam <= 0.0:
         return np.eye(n)
-    _check_window_means(lam, (h,))
+    _check_means(lam, (h,), MAX_WINDOW_MEAN, "window")
     kernel = np.eye(n) + q / lam
     # The powers of the identity are K^k from either side; multiplying
     # from the right keeps the dense rounding of P(h) = sum w_k I K^k.
@@ -455,12 +505,12 @@ def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _check_window_means(lam: float, hs: Sequence[float]) -> None:
-    for h in hs:
-        if not lam * h <= MAX_WINDOW_MEAN:
+def _check_means(lam: float, lengths: Sequence[float], bound: float, what: str) -> None:
+    for h in lengths:
+        if not lam * h <= bound:
             raise ValueError(
-                f"window length {h:g} times the largest exit rate {lam:g} is above "
-                f"{MAX_WINDOW_MEAN:g}; use a shorter window"
+                f"{what} length {h:g} times the largest exit rate {lam:g} is above "
+                f"{bound:g}; use a shorter {what}"
             )
 
 
@@ -643,7 +693,7 @@ def ci_decay(
     # K v = stay v + sum rate/lam v[dst]
     exit_rate = comp.rate.sum(axis=1)
     lam = float(exit_rate.max())
-    _check_window_means(lam, hs)
+    _check_means(lam, hs, MAX_WINDOW_MEAN, "window")
     scale = 1.0 / lam if lam > 0.0 else 0.0
     rate = comp.rate * scale
     stay = (1.0 - exit_rate * scale)[:, None]
@@ -695,7 +745,8 @@ def simulate(spec: CfmpSpec, pi, horizon: float, seed: int) -> Trajectory:
     """Exact event-driven sample of the joint chain: exponential holding
     times at the total exit rate, next transition chosen proportionally
     to its rate.  Deterministic given the seed.  An absorbing state
-    simply holds until the horizon."""
+    simply holds until the horizon.  A horizon whose length times the
+    largest exit rate is above MAX_HORIZON_MEAN is a ValueError."""
     return simulate_batch(spec, pi, horizon, seed, 1)[0]
 
 
@@ -708,29 +759,30 @@ def simulate_batch(
     comp = spec._compiled
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    _check_means(float(comp.rate.sum(axis=1).max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
     pi = _check_distribution(spec.space, pi)
-    return [_sample(comp, pi, horizon, seed + i) for i in range(count)]
+    return [_sample(spec, pi, horizon, seed + i) for i in range(count)]
 
 
-def _sample(comp: _Compiled, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:
+def _sample(spec: CfmpSpec, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:
     rng = np.random.default_rng(seed)
-    states, jump_table = comp.states, comp.jump_table
-    idx = int(rng.choice(len(states), p=pi))
-    initial = states[idx]
+    jump_table = spec._compiled.jump_table
+    idx = int(rng.choice(len(jump_table), p=pi))
+    initial = tuple(spec._compiled.grid[idx].tolist())
     jumps = []
     t = 0.0
     while True:
-        total, cum, targets = jump_table[idx]
+        total, cum, moves = jump_table[idx]
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t > horizon:
             break
         # cum[-1] can sit a few ulps under 1, so clamp the draw's index
-        pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(targets) - 1)
-        idx = targets[pick]
-        jumps.append((t, states[idx]))
-    return Trajectory(initial, tuple(jumps), float(horizon))
+        pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(moves) - 1)
+        idx, moved, new = moves[pick]
+        jumps.append((t, moved, new))
+    return Trajectory(spec.space, initial, tuple(jumps), float(horizon))
 
 
 @dataclass(frozen=True)
@@ -754,17 +806,16 @@ class IntensityEstimates:
         comps = {}
         for name in self.space.names:
             deps = self.depends_on[name]
-            rows = []
-            for (given, src), cell in sorted(self.cells[name].items()):
-                rows.append(
-                    {
-                        "given": {d: v for d, v in zip(deps, given)},
-                        "from": src,
-                        "exposure": cell.exposure,
-                        "events": {str(t): c for t, c in sorted(cell.events.items())},
-                        "rates": {str(t): r for t, r in sorted(cell.rates.items())},
-                    }
-                )
+            rows = [
+                {
+                    "given": dict(zip(deps, given)),
+                    "from": src,
+                    "exposure": cell.exposure,
+                    "events": {str(t): c for t, c in sorted(cell.events.items())},
+                    "rates": {str(t): r for t, r in sorted(cell.rates.items())},
+                }
+                for (given, src), cell in sorted(self.cells[name].items())
+            ]
             comps[name] = {"depends_on": list(deps), "cells": rows}
         return {"components": comps}
 
@@ -774,24 +825,18 @@ def estimate_intensities(
 ) -> IntensityEstimates:
     """Rate estimates under the spec's dependency structure: events in a
     cell divided by the total time exposed in that cell.  Raises
-    ValueError when a trajectory's states do not fit the spec's
-    components and cardinalities."""
+    ValueError when a trajectory's space is not the spec's."""
     comp = spec._compiled
     space = spec.space
-    seg, src, dst, dwell = [], [], [], []
-    for traj in trajectories:
-        try:
-            ids = [comp.index[traj.initial]] + [comp.index[s] for _, s in traj.jumps]
-        except KeyError as exc:
-            raise ValueError(
-                f"state {exc.args[0]} does not fit the cardinalities {space.cards}"
-            ) from None
-        seg += ids
-        src += ids[:-1]
-        dst += ids[1:]
-        dwell += [d for _, d in traj.states_and_durations()]
-    seg, src, dst = (np.array(a, dtype=int) for a in (seg, src, dst))
-    changed = np.argmax(comp.grid[src] != comp.grid[dst], axis=1)
+    trajectories = list(trajectories)
+    if any(traj.space != space for traj in trajectories):
+        raise ValueError(f"a trajectory's space does not fit the spec's {space}")
+    none = [np.zeros(0, dtype=int)]
+    seg = np.concatenate(none + [traj._segments for traj in trajectories])
+    src = np.concatenate(none + [traj._segments[:-1] for traj in trajectories])
+    dst = np.concatenate(none + [traj._segments[1:] for traj in trajectories])
+    dwell = np.concatenate(none + [traj._dwell for traj in trajectories])
+    component = np.concatenate(none + [traj._moved for traj in trajectories])
 
     cells: dict[str, dict[tuple[tuple[int, ...], int], CellEstimate]] = {}
     for ki, (name, card) in enumerate(zip(space.names, space.cards)):
@@ -799,9 +844,9 @@ def estimate_intensities(
         size = math.prod(shape)
         cell = comp.cell[name]
         # an empty bincount is integer even with weights
-        exposure = np.bincount(cell[seg], weights=np.array(dwell), minlength=size)
+        exposure = np.bincount(cell[seg], weights=dwell, minlength=size)
         exposure = exposure.astype(float).tolist()
-        moved = changed == ki
+        moved = component == ki
         events = np.bincount(
             cell[src[moved]] * card + comp.grid[dst[moved], ki], minlength=size * card
         )
@@ -898,12 +943,6 @@ def _number(value) -> float:
     return float(_NUMBER(value))
 
 
-def _in_range(value, card: int) -> int:
-    if not 0 <= _INT(value) < card:
-        raise ValueError(value)
-    return value
-
-
 def spec_from_json_dict(data: dict) -> CfmpSpec:
     comps = _field(data, "components", _ARRAY, "process spec JSON")
     names = [_field(c, "name", _STRING, f"component {i}") for i, c in enumerate(comps)]
@@ -940,55 +979,34 @@ def spec_to_json(spec: CfmpSpec) -> str:
 
 
 def spec_from_json(text: str) -> CfmpSpec:
-    return spec_from_json_dict(json.loads(text))
+    return spec_from_json_dict(_load_json(text))
 
 
 def trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:
-    header = {
-        "components": list(space.names),
-        "initial": list(traj.initial),
-        "horizon": traj.horizon,
-    }
-    lines = [json.dumps(header)]
-    prev = traj.initial
-    for t, state in traj.jumps:
-        ki = next(i for i in range(len(state)) if state[i] != prev[i])
-        lines.append(
-            json.dumps(
-                {"time": t, "component": space.names[ki], "new_state": state[ki]}
-            )
-        )
-        prev = state
-    return "\n".join(lines) + "\n"
+    if space != traj.space:
+        raise ValueError(f"a trajectory over {traj.space} cannot be written over {space}")
+    header = dict(components=list(space.names), initial=list(traj.initial), horizon=traj.horizon)
+    events = ({"time": t, "component": space.names[k], "new_state": s} for t, k, s in traj.jumps)
+    return "".join(json.dumps(line) + "\n" for line in (header, *events))
 
 
 def trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trajectory file")
-    header = json.loads(lines[0])
+    header = _load_json(lines[0])
     where = "trajectory header"
     if tuple(_field(header, "components", _ARRAY, where)) != space.names:
         raise ValueError(
             f"trajectory components {header['components']} do not match "
             f"the spec components {list(space.names)}"
         )
-
-    def initial_state(value):
-        if len(_ARRAY(value)) != len(space.cards):
-            raise ValueError(value)
-        return [_in_range(v, c) for v, c in zip(value, space.cards)]
-
-    state = _field(header, "initial", initial_state, where)
+    initial = _field(header, "initial", lambda v: tuple(map(_INT, _ARRAY(v))), where)
     horizon = _field(header, "horizon", _number, where)
-    if not (0 < horizon < math.inf):
-        raise ValueError(f"trajectory horizon must be positive and finite, got {horizon}")
-    initial = tuple(state)
-    in_range = [functools.partial(_in_range, card=c) for c in space.cards]
     jumps = []
     for ln in lines[1:]:
-        ev = json.loads(ln)
+        ev = _load_json(ln)
         ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
-        state[ki] = _field(ev, "new_state", in_range[ki], "trajectory event")
-        jumps.append((_field(ev, "time", _number, "trajectory event"), tuple(state)))
-    return Trajectory(initial, tuple(jumps), horizon)
+        new = _field(ev, "new_state", _INT, "trajectory event")
+        jumps.append((_field(ev, "time", _number, "trajectory event"), ki, new))
+    return Trajectory(space, initial, tuple(jumps), horizon)

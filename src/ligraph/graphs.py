@@ -33,6 +33,14 @@ def _check_label(label) -> str:
     return label
 
 
+def _load_json(text: str):
+    """``json.loads``; input nested too deeply to parse is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -187,8 +195,8 @@ class DiGraph:
         if not isinstance(edges, list):
             raise GraphError(f"graph JSON 'edges' must be an array: {edges!r}")
         for e in edges:
-            if not isinstance(e, list) or len(e) != 2:
-                raise GraphError(f"edge must be a 2-element array: {e!r}")
+            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
+                raise GraphError(f"edge must be a 2-element array of strings: {e!r}")
         return cls(nodes, [tuple(e) for e in edges])
 
     def to_json(self) -> str:
@@ -196,7 +204,7 @@ class DiGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "DiGraph":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(_load_json(text))
 
     def to_dot(self, name: str = "G") -> str:
         lines = [f"digraph {name} {{"]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from ligraph.fixtures import (
     home_visits_graph,
@@ -8,6 +9,10 @@ from ligraph.fixtures import (
     three_cycle_process,
     vacuous_dependency_process,
 )
+
+# Property tests draw the same bounded set of examples on every run.
+settings.register_profile("ligraph", derandomize=True, max_examples=100, deadline=None)
+settings.load_profile("ligraph")
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import random_spec
@@ -610,13 +612,15 @@ class TestSimulate:
     def test_trajectory_invariants(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
         traj = simulate(cycle3_spec, pi, 25.0, seed=9)
-        times = [t for t, _ in traj.jumps]
-        assert times == sorted(times)
-        assert all(t <= traj.horizon for t in times)
-        prev = traj.initial
-        for _, state in traj.jumps:
-            assert sum(a != b for a, b in zip(prev, state)) == 1
-            prev = state
+        assert traj.space == cycle3_spec.space
+        times = [t for t, _, _ in traj.jumps]
+        assert times == sorted(set(times))
+        assert all(0 < t <= traj.horizon for t in times)
+        state = list(traj.initial)
+        for _, k, new in traj.jumps:
+            assert 0 <= new < cycle3_spec.space.cards[k]
+            assert new != state[k]
+            state[k] = new
 
     def test_rejects_bad_horizon(self, cycle3_spec):
         with pytest.raises(ValueError, match="horizon"):
@@ -639,6 +643,20 @@ class TestSimulate:
         pi = uniform_distribution(cycle3_spec.space)
         with pytest.raises(ValueError, match="count"):
             simulate_batch(cycle3_spec, pi, 10.0, seed=1, count=count)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_rejects_horizon_with_too_many_jumps(self, cycle3_spec, count):
+        pi = uniform_distribution(cycle3_spec.space)
+        lam = -build_generator(cycle3_spec).matrix.diagonal().min()
+        with pytest.raises(ValueError, match="largest exit rate"):
+            simulate_batch(cycle3_spec, pi, 1e300, seed=1, count=count)
+        with pytest.raises(ValueError, match="largest exit rate"):
+            simulate_batch(cycle3_spec, pi, 1.01 * cfmp.MAX_HORIZON_MEAN / lam, seed=1, count=0)
+        assert simulate_batch(cycle3_spec, pi, 0.99 * cfmp.MAX_HORIZON_MEAN / lam, 1, 0) == []
+
+    def test_absorbing_chain_takes_any_finite_horizon(self):
+        spec = binary_pair(rate_x=(0.0, 0.0), rate_y=(0.0, 0.0))
+        assert simulate(spec, uniform_distribution(spec.space), 1e300, seed=3).jumps == ()
 
     def test_batch_checks_arguments_even_when_empty(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
@@ -687,18 +705,31 @@ class TestEstimate:
             assert abs(rate - 1.5) <= 3 * math.sqrt(1.5 / expo)
 
     @pytest.mark.parametrize(
-        "initial, jumps",
+        "initial, jumps, message",
         [
-            pytest.param((0, 0, 5), (), id="initial-out-of-range"),
-            pytest.param((0.5, 0, 0), (), id="initial-fraction"),
-            pytest.param((0, 0), (), id="initial-short"),
-            pytest.param((0, 0, 0, 0), (), id="initial-long"),
-            pytest.param((0, 0, 0), ((1.0, (0, 0, 2)),), id="jump-out-of-range"),
+            pytest.param((0, 0, 5), (), "does not fit", id="initial-out-of-range"),
+            pytest.param((0.5, 0, 0), (), "must be integers", id="initial-fraction"),
+            pytest.param((0, 0), (), "does not fit", id="initial-short"),
+            pytest.param((0, 0, 0, 0), (), "does not fit", id="initial-long"),
+            pytest.param((0, 0, 0), ((1.0, 2, 2),), "does not fit", id="jump-out-of-range"),
         ],
     )
-    def test_rejects_trajectory_outside_spec(self, cycle3_spec, initial, jumps):
+    def test_rejects_trajectory_outside_spec(self, cycle3_spec, initial, jumps, message):
+        # the trajectory's own check refuses it before estimation starts
+        with pytest.raises(ValueError, match=message):
+            estimate_intensities([Trajectory(cycle3_spec.space, initial, jumps, 5.0)], cycle3_spec)
+
+    @pytest.mark.parametrize(
+        "names, cards",
+        [
+            pytest.param(("a", "b", "c"), (2, 2, 3), id="other-cards"),
+            pytest.param(("a", "c", "b"), (2, 2, 2), id="other-order"),
+        ],
+    )
+    def test_rejects_trajectory_over_other_space(self, cycle3_spec, names, cards):
+        traj = Trajectory(ComponentSpace(names, cards), (0, 0, 0), ((1.0, 2, 1),), 5.0)
         with pytest.raises(ValueError, match="does not fit"):
-            estimate_intensities([Trajectory(initial, jumps, 5.0)], cycle3_spec)
+            estimate_intensities([traj], cycle3_spec)
 
     def test_exposure_accounts_for_full_horizon(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
@@ -709,14 +740,71 @@ class TestEstimate:
             assert total == pytest.approx(200.0)
 
 
+@st.composite
+def wire_paths(draw):
+    """A valid trajectory's parts over a small random space, built event
+    by event: each jump moves one component to a different state."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    space = ComponentSpace(tuple(f"c{i}" for i in range(len(cards))), tuple(cards))
+    state = [draw(st.integers(0, card - 1)) for card in cards]
+    initial = tuple(state)
+    t = 0.0
+    jumps = []
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.floats(1e-3, 10.0))
+        k = draw(st.integers(0, len(cards) - 1))
+        new = draw(st.integers(0, cards[k] - 2))
+        new += new >= state[k]
+        state[k] = new
+        jumps.append((t, k, new))
+    horizon = t + draw(st.floats(0.0, 10.0)) if jumps else draw(st.floats(1e-3, 10.0))
+    return space, initial, tuple(jumps), horizon
+
+
 class TestTrajectory:
+    @given(path=wire_paths(), data=st.data())
+    def test_wire_form_round_trip_and_mutations(self, path, data):
+        space, initial, jumps, horizon = path
+        traj = Trajectory(space, initial, jumps, horizon)
+        text = trajectory_to_jsonl(traj, space)
+        back = trajectory_from_jsonl(text, space)
+        assert back == traj
+        assert trajectory_to_jsonl(back, space) == text
+        # the arrays the check yields, against a replay of the events
+        state, times = list(initial), [0.0]
+        segments = [int(np.ravel_multi_index(state, space.cards))]
+        for t, k, new in jumps:
+            state[k] = new
+            segments.append(int(np.ravel_multi_index(state, space.cards)))
+            times.append(t)
+        assert traj._segments.tolist() == segments
+        assert traj._dwell.tolist() == [b - a for a, b in zip(times, times[1:] + [horizon])]
+        assert traj._moved.tolist() == [k for _, k, _ in jumps]
+        if not jumps:
+            return
+        i = data.draw(st.integers(0, len(jumps) - 1))
+        t, k, new = jumps[i]
+        before = initial[k]
+        for _, k2, new2 in jumps[:i]:
+            before = new2 if k2 == k else before
+        mutations = [
+            (t, k, space.cards[k]),  # an out-of-range state
+            (jumps[i - 1][0] if i else 0.0, k, new),  # a time that does not increase
+            (t, k, before),  # a jump that does not change state
+            (t, len(space.cards), new),  # an unknown component index
+            (t, k, new + 0.5),  # a non-integral state
+        ]
+        for jump in mutations:
+            with pytest.raises(ValueError):
+                Trajectory(space, initial, jumps[:i] + (jump,) + jumps[i + 1 :], horizon)
+
     @pytest.mark.parametrize(
-        "state",
-        [pytest.param((1, 0), id="jump-short"), pytest.param((1, 0, 0, 0), id="jump-long")],
+        "jump",
+        [pytest.param((1.0, 0), id="jump-short"), pytest.param((1.0, 0, 1, 0), id="jump-long")],
     )
-    def test_rejects_ragged_states(self, state):
-        with pytest.raises(ValueError, match="entries"):
-            Trajectory((0, 0, 0), ((1.0, state),), 5.0)
+    def test_rejects_ragged_states(self, cycle3_spec, jump):
+        with pytest.raises(ValueError, match="triple"):
+            Trajectory(cycle3_spec.space, (0, 0, 0), (jump,), 5.0)
 
 
 class TestWireFormats:

@@ -99,6 +99,8 @@ class TestDsep:
             {"nodes": "ab", "edges": []},
             {"nodes": ["a", "b"], "edges": ["ab"]},
             {"nodes": ["a", "a", "b"], "edges": []},
+            {"nodes": ["a", "b"], "edges": [[["a"], "b"]]},
+            {"nodes": ["a", "b"], "edges": [[{"x": 1}, "b"]]},
         ],
     )
     def test_malformed_graph_json_errors(self, capsys, tmp_path, graph):
@@ -420,6 +422,14 @@ class TestSimulateEstimate:
         assert message in err
         assert not list(tmp_path.glob("t_*"))
 
+    def test_rejects_horizon_with_too_many_jumps(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "simulate", str(FIXTURES / "three_cycle_process.json"), "--horizon", "1e300",
+            "--seed", "1", "--count", "0", "--out-prefix", str(tmp_path / "t_"),
+        )
+        assert_one_line_error(code, out, err)
+        assert "largest exit rate" in err
+
     @pytest.mark.parametrize(
         "lines",
         [
@@ -439,6 +449,24 @@ class TestSimulateEstimate:
         path.write_text("\n".join(lines) + "\n")
         spec = str(FIXTURES / "three_cycle_process.json")
         assert_one_line_error(*run(capsys, "estimate", str(path), "--spec", spec))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["dsep", "{deep}", "--a", "a", "--b", "b"], id="graph"),
+        pytest.param(["ci-check", "{deep}", "--target", "a", "--source", "b"], id="spec"),
+        pytest.param(
+            ["estimate", "{deep}", "--spec", str(FIXTURES / "three_cycle_process.json")],
+            id="trajectory",
+        ),
+    ],
+)
+def test_deeply_nested_json_errors(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [str(deep) if a == "{deep}" else a for a in argv]
+    assert_one_line_error(*run(capsys, *argv))
 
 
 class TestWireFormatStability:
