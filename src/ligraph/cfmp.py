@@ -84,7 +84,7 @@ class SpecValidationError(ValueError):
     """Raised when an operation requires a valid spec but validation failed."""
 
     def __init__(self, errors: Sequence[str]):
-        super().__init__("invalid process spec:\n" + "\n".join(errors))
+        super().__init__("invalid process spec: " + "; ".join(errors))
         self.errors = list(errors)
 
 
@@ -270,6 +270,8 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
         )
         return errors
 
+    # the sum over components of each one's largest total out-rate
+    top_exit_rate = 0.0
     for name in names:
         ci = spec.intensities.get(name)
         card = space.cards[space.index_of(name)]
@@ -286,6 +288,9 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
             continue
         dep_cards = [space.cards[space.index_of(d)] for d in deps]
         seen: dict[tuple, float] = {}
+        # total out-rate per (configuration, source); Python floats
+        # overflow to inf without a numpy warning
+        out_rates: dict[tuple, float] = {}
         for row in ci.rows:
             cell = f"{name}: given={dict(zip(deps, row.given))} from={row.source} to={row.target}"
             if len(row.given) != len(deps):
@@ -311,6 +316,8 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
                 errors.append(f"{cell}: duplicate table cell")
                 continue
             seen[key] = row.rate
+            out = (row.given, row.source)
+            out_rates[out] = out_rates.get(out, 0.0) + float(row.rate)
         for given in itertools.product(*(range(c) for c in dep_cards)):
             for s in range(card):
                 for t in range(card):
@@ -319,6 +326,9 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
                             f"{name}: missing rate for "
                             f"given={dict(zip(deps, given))} from={s} to={t}"
                         )
+        top_exit_rate += max(out_rates.values(), default=0.0)
+    if not math.isfinite(top_exit_rate):
+        errors.append("the largest possible total exit rate overflows; scale the rates down")
     return errors
 
 
@@ -568,6 +578,11 @@ def stationary_distribution(gen: Generator) -> np.ndarray:
     q = gen.matrix
     n = q.shape[0]
     a = np.vstack([q.T, np.ones(n)])
+    # lstsq cuts rank relative to the largest singular value, so bring Q
+    # to unit scale against the row of ones, in place (no n x n temporary)
+    lam = float(np.max(-np.diag(q)))
+    if lam > 0.0:
+        a[:n] /= lam
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
@@ -656,7 +671,9 @@ def ci_decay(
 
     The conditioning set always includes the target's own time-zero
     state.  The source must not be in it.  Each window's length times
-    the largest exit rate must be at most MAX_WINDOW_MEAN.
+    the largest exit rate must be at most MAX_WINDOW_MEAN, and the
+    ladder needs at least two windows: the class is a slope between
+    them.
 
     P(target at h | state at 0) is computed for every h at once by
     uniformization applied to the n x card_t block of target indicators
@@ -694,6 +711,11 @@ def ci_decay(
     exit_rate = comp.rate.sum(axis=1)
     lam = float(exit_rate.max())
     _check_means(lam, hs, MAX_WINDOW_MEAN, "window")
+    if len(hs) < 2:
+        raise ValueError(
+            f"a decay class is a slope between windows: need at least 2 window "
+            f"lengths, got {len(hs)}"
+        )
     scale = 1.0 / lam if lam > 0.0 else 0.0
     rate = comp.rate * scale
     stay = (1.0 - exit_rate * scale)[:, None]

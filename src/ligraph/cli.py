@@ -141,7 +141,7 @@ def cmd_derive_graph(args) -> int:
 def cmd_ci_check(args) -> int:
     spec = _load_spec(args.spec)
     pi = _initial_distribution(spec, args.pi)
-    hs = tuple(float(x) for x in args.hs.split()) if args.hs else DEFAULT_HS
+    hs = tuple(float(x) for x in args.hs.split()) if args.hs is not None else DEFAULT_HS
     report = ci_decay(
         spec, pi, target=args.target, source=args.source, cond=_names(args.cond), hs=hs
     )

@@ -43,9 +43,11 @@ same rules:
   ``q(a, b, c)`` is one ``np.take`` from the flattened table at
   ``a*S^2 + b*S + c`` (S = 2^n subsets), which stays below 2^15 at
   ``MAX_AXIOM_GROUND``; the set operators gather from flat S x S
-  tables the same way.  When the table has no out-of-domain triple
-  (always so for ``overlap_reducible`` oracles such as
-  delta-separation) the evaluability gather is skipped;
+  tables the same way.  The table asks the oracle each distinct triple
+  once: every triple, or for an ``overlap_reducible`` oracle such as
+  delta-separation only the reduced triples (A-(B|C), B, C-B).  When no
+  asked triple is out of the oracle's domain the evaluability gather
+  is skipped;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
   the truth table.
@@ -57,7 +59,6 @@ add the matching entry to the independent slow checker in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -87,11 +88,13 @@ class IrrelevanceOracle:
 
     ``query`` must be total and deterministic, except that it may raise
     OracleDomainError for triples outside a declared domain; such
-    instances are skipped (and counted) by the checkers.
+    instances are skipped (and counted) by the checkers, whatever
+    ``overlap_reducible`` says.
 
     ``overlap_reducible`` asserts query(A,B,C) == query(A-(B|C), B, C-B)
-    for every triple, which lets the table builder evaluate disjoint
-    triples only.  Set it only for relations where that identity holds.
+    for every triple, including whether it raises OracleDomainError,
+    which lets the table builder ask the reduced triples only.  Set it
+    only for relations where that identity holds.
     """
 
     ground: tuple[str, ...]
@@ -231,12 +234,6 @@ class _Tables:
         self.diff = rank_of[mi & ~mj].reshape(-1)
         self.subset = ((mi & ~mj) == 0).reshape(-1)  # set_i <= set_j
         self.disjoint = ((mi & mj) == 0).reshape(-1)
-        # reduction indices: values[A,B,C] = core[A-(B|C), B, C-B]
-        a3 = self.masks[:, None, None]
-        b3 = self.masks[None, :, None]
-        c3 = self.masks[None, None, :]
-        self.red_a = rank_of[a3 & ~(b3 | c3)]  # (S, S, S)
-        self.red_c = rank_of[mj & ~mi]  # (S, S) indexed [B, C]
 
     def pair(self, table: np.ndarray, i, j) -> np.ndarray:
         """Look up the rank pairs (i, j) in one of the flat pair tables."""
@@ -258,7 +255,6 @@ class TruthTable:
 
     ``all_evaluable`` records that no triple raised OracleDomainError."""
 
-    oracle: IrrelevanceOracle
     tables: _Tables
     values: np.ndarray
     evaluable: np.ndarray
@@ -275,36 +271,26 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     if len(set(ground)) != len(ground):
         raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
-    size = t.size
-    sets = [t.set_of(r) for r in range(size)]
+    a, b, c = (_Ranks(t, r) for r in _axes(t.size, 3))
     if oracle.overlap_reducible:
-        core = np.zeros((size, size, size), dtype=bool)
-        rank_of = t.rank_of
-        for assignment in itertools.product(range(4), repeat=t.n):
-            am = bm = cm = 0
-            for i, slot in enumerate(assignment):
-                if slot == 1:
-                    am |= 1 << i
-                elif slot == 2:
-                    bm |= 1 << i
-                elif slot == 3:
-                    cm |= 1 << i
-            ra, rb, rc = int(rank_of[am]), int(rank_of[bm]), int(rank_of[cm])
-            core[ra, rb, rc] = oracle.query(sets[ra], sets[rb], sets[rc])
-        ar = np.arange(size)
-        values = core[t.red_a, ar[None, :, None], t.red_c[None, :, :]]
-        evaluable = np.ones((size, size, size), dtype=bool)
-    else:
-        values = np.zeros((size, size, size), dtype=bool)
-        evaluable = np.ones((size, size, size), dtype=bool)
-        for i in range(size):
-            for j in range(size):
-                for k in range(size):
-                    try:
-                        values[i, j, k] = oracle.query(sets[i], sets[j], sets[k])
-                    except OracleDomainError:
-                        evaluable[i, j, k] = False
-    return TruthTable(oracle, t, values, evaluable, bool(evaluable.all()))
+        a, c = a - (b | c), c - b
+    # the flat index of the triple each cell asks; ask each distinct one
+    # once, found with a mask: np.unique's first call imports numpy.ma,
+    # about 1.7 MB of resident memory
+    asked = (a.r * t.stride_a + b.r * t.stride_b) + c.r
+    distinct = np.zeros(t.size**3, dtype=bool)
+    distinct[asked] = True
+    values = np.zeros(t.size**3, dtype=bool)
+    evaluable = np.ones(t.size**3, dtype=bool)
+    sets = [t.set_of(r) for r in range(t.size)]
+    for flat in np.flatnonzero(distinct).tolist():
+        ra, bc = divmod(flat, t.size * t.size)
+        rb, rc = divmod(bc, t.size)
+        try:
+            values[flat] = oracle.query(sets[ra], sets[rb], sets[rc])
+        except OracleDomainError:
+            evaluable[flat] = False
+    return TruthTable(t, values[asked], evaluable[asked], bool(evaluable.all()))
 
 
 def _axes(size: int, k: int):

@@ -204,6 +204,15 @@ class TestValidation:
         spec = binary_pair(y_deps=("zz",))
         assert any("depends_on" in e for e in validate_spec(spec))
 
+    def test_overflowing_exit_rate_rejected(self):
+        # each rate is finite, but the total exit rate of a state is not;
+        # numpy scalar rates must not raise an overflow warning either
+        for huge in ((1e308, 1e308), (np.float64(1e308),) * 2):
+            assert validate_spec(binary_pair(rate_x=huge, rate_y=huge)) == [
+                "the largest possible total exit rate overflows; scale the rates down"
+            ]
+            assert validate_spec(binary_pair(rate_x=huge, rate_y=(0.0, 0.0))) == []
+
     def test_operations_refuse_invalid_spec(self):
         spec = binary_pair(rate_x=(-1.0, 1.0))
         with pytest.raises(SpecValidationError):
@@ -516,6 +525,13 @@ class TestCiDecay:
             with pytest.raises(ValueError, match="largest exit rate"):
                 ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
 
+    @pytest.mark.parametrize("hs", [(), (0.2,)])
+    def test_rejects_fewer_than_two_windows(self, cycle3_spec, hs):
+        # the decay class is a slope between rungs
+        pi = uniform_distribution(cycle3_spec.space)
+        with pytest.raises(ValueError, match="at least 2 window lengths"):
+            ci_decay(cycle3_spec, pi, "b", "a", ("c",), hs=hs)
+
     def test_rejects_source_in_cond(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
         with pytest.raises(ValueError, match="source"):
@@ -578,6 +594,22 @@ class TestStationaryDistribution:
         gen = build_generator(independent_spec)
         pi = stationary_distribution(gen)
         assert np.abs(pi - 0.25).max() < 1e-10
+
+    # the stationary law does not depend on the time unit; scaling every
+    # rate by 0 leaves an all-absorbing chain, which has no unique law
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-16, 1e-10, 1e15, 1e100])
+    def test_invariant_to_time_unit(self, cycle3_spec, scale):
+        data = spec_to_json_dict(cycle3_spec)
+        for entry in data["intensities"].values():
+            for row in entry["table"]:
+                row["rate"] *= scale
+        gen = build_generator(spec_from_json_dict(data))
+        if scale == 0.0:
+            with pytest.raises(ValueError, match="not unique"):
+                stationary_distribution(gen)
+            return
+        expected = stationary_distribution(build_generator(cycle3_spec))
+        assert np.abs(stationary_distribution(gen) - expected).max() < 1e-14
 
     def test_several_closed_classes_rejected(self):
         # every state absorbing: each one is stationary on its own

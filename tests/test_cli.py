@@ -35,6 +35,18 @@ def absorbing_spec_file(tmp_path):
     return str(spec)
 
 
+def overflowing_spec_file(tmp_path):
+    """Two binary components with every rate at 1e308: each rate is
+    finite, but a state's total exit rate is not."""
+    table = [{"given": {}, "from": s, "to": 1 - s, "rate": 1e308} for s in (0, 1)]
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({
+        "components": [{"name": "x", "states": 2}, {"name": "y", "states": 2}],
+        "intensities": {n: {"depends_on": [], "table": table} for n in "xy"},
+    }))
+    return str(spec)
+
+
 HEADER = '{"components": ["a", "b", "c"], "initial": [0, 0, 0], "horizon": 5.0}'
 
 
@@ -349,6 +361,15 @@ class TestCiCheck:
         assert_one_line_error(code, out, err)
         assert "largest exit rate" in err
 
+    @pytest.mark.parametrize("hs", ["0.2", ""])
+    def test_too_few_windows_errors(self, capsys, hs):
+        code, out, err = run(
+            capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),
+            "--target", "b", "--source", "a", "--cond", "c", "--hs", hs,
+        )
+        assert_one_line_error(code, out, err)
+        assert "at least 2 window lengths" in err
+
     def test_custom_windows(self, capsys):
         code, out, _ = run(
             capsys, "ci-check", str(FIXTURES / "three_cycle_process.json"),
@@ -467,6 +488,20 @@ def test_deeply_nested_json_errors(capsys, tmp_path, argv):
     deep.write_text("[" * 100_000)
     argv = [str(deep) if a == "{deep}" else a for a in argv]
     assert_one_line_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive-graph",),
+    ("ci-check", "--target", "x", "--source", "y"),
+    ("ci-check", "--target", "x", "--source", "y", "--pi", "stationary"),
+    ("simulate", "--horizon", "1", "--seed", "0", "--out-prefix", "run_"),
+])
+def test_overflowing_exit_rate_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    code, out, err = run(capsys, command, overflowing_spec_file(tmp_path), *flags)
+    assert_one_line_error(code, out, err)
+    assert "total exit rate overflows" in err
 
 
 class TestWireFormatStability:

@@ -279,14 +279,51 @@ class TestVectorizedEngineAgainstSlowPath:
 
 
 class TestReducibleTableMatchesGenericTable:
-    def test_agreement(self, cycle3):
-        oracle = delta_separation_oracle(cycle3)
-        fast = build_truth_table(oracle)
-        generic = build_truth_table(
-            IrrelevanceOracle(ground=oracle.ground, query=oracle.query)
-        )
-        assert (fast.values == generic.values).all()
-        assert fast.evaluable.all() and generic.evaluable.all()
+    def test_agreement(self):
+        rng = random.Random(11)
+        graphs = list(enumerate_digraphs(("a", "b", "c")))
+        graphs += [random_digraph(tuple("abcd"), rng, p=rng.uniform(0.1, 0.7)) for _ in range(12)]
+        graphs += [random_digraph(tuple("abcde"), rng, p=rng.uniform(0.1, 0.7)) for _ in range(3)]
+        for g in graphs:
+            oracle = delta_separation_oracle(g)
+            fast = build_truth_table(oracle)
+            generic = build_truth_table(
+                IrrelevanceOracle(ground=oracle.ground, query=oracle.query)
+            )
+            assert (fast.values == generic.values).all(), g.edges
+            assert (fast.evaluable == generic.evaluable).all(), g.edges
+            assert fast.all_evaluable and generic.all_evaluable
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_reducible_oracle_with_domain_matches_slow_check(self, seed):
+        # a reducible oracle may still declare a domain: it is asked only
+        # reduced triples, and the ones outside its domain are skipped
+        rng = random.Random(300 + seed)
+        labels = ("a", "b", "c")
+        full = delta_separation_oracle(random_digraph(labels, rng, p=0.5))
+        subs = subsets_by_size(labels)
+        outside = {t for t in itertools.product(subs, repeat=3) if rng.random() < 0.1}
+
+        def query(a, b, c):
+            a, c = a - (b | c), c - b
+            if (a, b, c) in outside:
+                raise OracleDomainError("out of domain")
+            return full.query(a, b, c)
+
+        oracle = IrrelevanceOracle(ground=labels, query=query, overlap_reducible=True)
+        table = build_truth_table(oracle)
+        assert not table.all_evaluable
+        skipped = 0
+        for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty):
+            if isinstance(prop, Axiom):
+                report = check_axiom(oracle, prop, table)
+            else:
+                report = check_derived(oracle, prop, table)
+            holds, first, checked, skips = slow_check(oracle, prop)
+            assert (report.holds, report.counterexample) == (holds, first), prop
+            assert (report.checked, report.skipped) == (checked, skips), prop
+            skipped += report.skipped
+        assert skipped
 
 
 class TestTrimMetaTheorems:
