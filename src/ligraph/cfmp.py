@@ -23,7 +23,8 @@ Decay reports never form the dense transition matrix P(h).  They
 uniformize the n x card_t block of target indicators through the
 compiled transitions, at O(n * transitions per state * card_t) per
 term, and one Poisson series serves the whole window ladder.
-``transition_matrix`` is the dense path, run by the same series.
+``transition_matrix`` is the dense path, run by the same series and,
+for a long window, squared from a short one.
 
 A sampled path (``Trajectory``) is kept in its wire form, the form the
 JSONL files store: the initial product state and one (time, component
@@ -63,7 +64,8 @@ RATE_CONSTANCY_RTOL = 1e-9
 POISSON_TAIL = 1e-14
 UNIFORMIZATION_MAX_MEAN = 50.0
 # Largest lam * h accepted for a window: halving it down to
-# UNIFORMIZATION_MAX_MEAN takes at most 2**8 passes of the series.
+# UNIFORMIZATION_MAX_MEAN takes at most 8 halvings, so at most 2**8
+# passes of the series on the block path and 8 squarings on the dense one.
 MAX_WINDOW_MEAN = 1.0e4
 # Largest lam * horizon accepted for a sample path, which bounds its
 # expected jump count.
@@ -495,8 +497,11 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
     """Transition probabilities over a window of length h, by Poisson
     mixing of powers of the uniformized kernel (series truncated when the
     Poisson tail mass drops below 1e-14).  Nonnegativity and unit row
-    sums hold by construction.  A window whose length times the largest
-    exit rate is above MAX_WINDOW_MEAN is a ValueError."""
+    sums hold by construction.  A window whose length h times the
+    largest exit rate lam is above UNIFORMIZATION_MAX_MEAN runs the
+    series once at h / 2^d, for the least d that brings lam h / 2^d
+    within it, and squares the result d times; one with lam h above
+    MAX_WINDOW_MEAN is a ValueError."""
     if not (0 <= h < math.inf):
         raise ValueError(f"window length must be nonnegative and finite, got {h}")
     return _expm_uniformized(np.asarray(gen.matrix, dtype=float), float(h))
@@ -509,9 +514,15 @@ def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
         return np.eye(n)
     _check_means(lam, (h,), MAX_WINDOW_MEAN, "window")
     kernel = np.eye(n) + q / lam
+    squarings = 0
+    while lam * h > UNIFORMIZATION_MAX_MEAN:
+        h /= 2.0
+        squarings += 1
     # The powers of the identity are K^k from either side; multiplying
     # from the right keeps the dense rounding of P(h) = sum w_k I K^k.
     (out,) = _uniformized(lambda v: v @ kernel, lam, np.eye(n), (h,))
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 

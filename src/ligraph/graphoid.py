@@ -43,7 +43,13 @@ same rules:
   ``q(a, b, c)`` is one ``np.take`` from the flattened table at
   ``a*S^2 + b*S + c`` (S = 2^n subsets), which stays below 2^15 at
   ``MAX_AXIOM_GROUND``; the set operators gather from flat S x S
-  tables the same way.  The table asks the oracle each distinct triple
+  tables the same way.  A property whose side condition couples all
+  four sets (``_LISTED``) admits only 5^n, 7^n or 11^n of the 16^n rank
+  tuples; it runs on the list of their C-order positions instead, in
+  chunks of at most 2^15 tuples (``_CHUNK_TUPLES``).  The list is
+  ascending, so its first violating tuple is the first counterexample
+  in the same order; it depends only on the ground size n and is built
+  on first use.  The table asks the oracle each distinct triple
   once: every triple, or for an ``overlap_reducible`` oracle such as
   delta-separation only the reduced triples (A-(B|C), B, C-B).  When no
   asked triple is out of the oracle's domain the evaluability gather
@@ -431,49 +437,113 @@ class _RankSpace:
 # streams megabytes through the caches.  Blocks of this size keep the
 # intermediates small enough for the allocator to reuse in place.
 _BLOCK_CELLS = 1 << 16
+# Listed tuples per chunk, for the same reason.  On five nodes 2^15 ran
+# faster, with no more peak memory, than 2^12, 2^13, 2^14 or 2^16.
+_CHUNK_TUPLES = 1 << 15
+
+# Properties whose side condition couples all four sets: it admits 5^n
+# (pairwise disjoint), 7^n (overlap-tolerant) or 11^n (guarded) of the
+# 16^n rank tuples, so these are checked on the list of admitted tuples
+# alone.  Side conditions on two sets (D <= A, D <= B) admit 12^n, and a
+# dense block already broadcasts them over the free axes.
+_LISTED = frozenset({
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION,
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION,
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION,
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION,
+})
+
+
+def _evaluate(tt: TruthTable, rule, sets: list[_Ranks], shape: tuple[int, ...]):
+    """(structural domain, evaluable domain, violations) of ``rule`` on
+    ``sets``, each broadcast to ``shape``."""
+    x = _RankSpace(tt)
+    side, premise, conclusion = rule(x, *sets)
+    struct = np.broadcast_to(side, shape)
+    dom = np.broadcast_to(struct & x.evaluable, shape)
+    return struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
 
 
 def _violations(tt: TruthTable, names: str, rule):
     """Evaluate ``rule`` over every rank tuple, one block of the first
-    axis at a time, in order.  Yields (offset, structural domain,
-    evaluable domain, violations) for the first-axis ranks from offset
-    on, each of shape (rows,) + (size,) * (len(names) - 1)."""
+    axis at a time, in order.  Yields (the block's C-order positions in
+    the lattice, structural domain, evaluable domain, violations), the
+    last three of shape (rows,) + (size,) * (len(names) - 1)."""
     t = tt.tables
     first, *rest = _axes(t.size, len(names))
     inner = (t.size,) * len(rest)
-    step = max(1, _BLOCK_CELLS // t.size ** len(rest))
+    cells = t.size ** len(rest)
+    step = max(1, _BLOCK_CELLS // cells)
     for lo in range(0, t.size, step):
-        x = _RankSpace(tt)
+        rows = min(step, t.size - lo)
         sets = [_Ranks(t, first[lo : lo + step])] + [_Ranks(t, r) for r in rest]
-        side, premise, conclusion = rule(x, *sets)
-        shape = (min(step, t.size - lo),) + inner
-        struct = np.broadcast_to(side, shape)
-        dom = np.broadcast_to(struct & x.evaluable, shape)
-        yield lo, struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
+        yield (range(lo * cells, (lo + rows) * cells),
+               *_evaluate(tt, rule, sets, (rows,) + inner))
 
 
-def _first_in(lo: int, viol: np.ndarray) -> tuple[int, ...] | None:
-    """The first violation in C order in one block at first-axis offset lo."""
+@lru_cache(maxsize=None)
+def _admitted(prop: Axiom | DerivedProperty, n: int) -> np.ndarray:
+    """The C-order positions of the rank tuples over n ground elements
+    that satisfy the side condition of ``prop``, ascending.  They depend
+    only on n, since rank r is the same subset of the sorted labels for
+    every ground; built on first use from one dense pass over an
+    all-true, all-evaluable table."""
+    t = _Tables(tuple(str(i) for i in range(n)))
+    cells = t.size**3
+    tt = TruthTable(t, np.ones(cells, dtype=bool), np.ones(cells, dtype=bool), True)
+    names, rule = _RULES[prop]
+    listed = np.concatenate([
+        np.flatnonzero(struct).astype(np.uint32) + np.uint32(where.start)
+        for where, struct, _, _ in _violations(tt, names, rule)
+    ])
+    listed.setflags(write=False)
+    return listed
+
+
+def _listed_violations(tt: TruthTable, names: str, rule, listed: np.ndarray):
+    """Evaluate ``rule`` on the listed rank tuples only, in chunks of
+    _CHUNK_TUPLES, in order.  Yields what _violations does, with one
+    entry per listed tuple."""
+    t = tt.tables
+    k = len(names)
+    for lo in range(0, len(listed), _CHUNK_TUPLES):
+        where = listed[lo : lo + _CHUNK_TUPLES]
+        # S = 2^n ranks per axis, so a position's ranks are its n-bit
+        # fields, the first axis highest (np.unravel_index is slower)
+        sets = [
+            _Ranks(t, ((where >> (t.n * (k - 1 - i))) & (t.size - 1)).astype(RANK_DTYPE))
+            for i in range(k)
+        ]
+        yield (where, *_evaluate(tt, rule, sets, where.shape))
+
+
+def _first_in(where, viol: np.ndarray) -> int | None:
+    """The C-order lattice position of the first violation in one block
+    or chunk whose cells sit at positions ``where``."""
     flat = viol.reshape(-1)
     idx = int(np.argmax(flat))
-    if not flat[idx]:
-        return None
-    first, *rest = np.unravel_index(idx, viol.shape)
-    return (lo + int(first),) + tuple(int(x) for x in rest)
+    return int(where[idx]) if flat[idx] else None
+
+
+def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]:
+    ranks = np.unravel_index(position, (t.size,) * len(names))
+    return {name: t.set_of(int(rank)) for name, rank in zip(names, ranks)}
 
 
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
     names, rule = _RULES[prop]
+    if prop in _LISTED:
+        blocks = _listed_violations(tt, names, rule, _admitted(prop, tt.tables.n))
+    else:
+        blocks = _violations(tt, names, rule)
     checked = structural = 0
     hit = None
-    for lo, struct, dom, viol in _violations(tt, names, rule):
+    for where, struct, dom, viol in blocks:
         checked += int(np.count_nonzero(dom))
         structural += int(np.count_nonzero(struct))
         if hit is None:
-            hit = _first_in(lo, viol)
-    cx = None
-    if hit is not None:
-        cx = {name: tt.tables.set_of(rank) for name, rank in zip(names, hit)}
+            hit = _first_in(where, viol)
+    cx = None if hit is None else _sets_at(tt.tables, names, hit)
     return CheckReport(prop, hit is None, cx, checked, structural - checked)
 
 
@@ -622,7 +692,8 @@ def find_right_decomposition_counterexample(
     for g in enumerate_digraphs(labels):
         tt = build_truth_table(delta_separation_oracle(g))
         blocks = _violations(tt, names, disjoint_instance)
-        hit = next(filter(None, (_first_in(lo, v) for lo, _, _, v in blocks)), None)
+        hits = (_first_in(where, v) for where, _, _, v in blocks)
+        hit = next((h for h in hits if h is not None), None)
         if hit is not None:
-            return g, {name: tt.tables.set_of(r) for name, r in zip(names, hit)}
+            return g, _sets_at(tt.tables, names, hit)
     return None

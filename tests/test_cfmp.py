@@ -330,6 +330,16 @@ class TestTransitionMatrix:
                 got = transition_matrix(gen, h)
                 assert np.abs(got - want).max() < 1e-12
 
+    def test_matches_scipy_expm_at_the_window_cap(self, cycle3_spec, visits_spec):
+        # lam h = MAX_WINDOW_MEAN: the series runs at h / 2^8 and is squared
+        for spec in (cycle3_spec, visits_spec):
+            gen = build_generator(spec)
+            lam = float(np.max(-np.diag(gen.matrix)))
+            h = cfmp.MAX_WINDOW_MEAN / lam
+            assert lam * h == cfmp.MAX_WINDOW_MEAN
+            got = transition_matrix(gen, h)
+            assert np.abs(got - expm(gen.matrix * h)).max() < 1e-12
+
     def test_matches_plain_taylor_series(self):
         import random
 

@@ -244,23 +244,19 @@ class TestVectorizedEngineAgainstSlowPath:
         assert (report.holds, report.counterexample) == (holds, first)
         assert (report.checked, report.skipped) == (checked, skipped)
 
-    # blocks of one first-axis rank, and at 5 nodes blocks of 3 ranks with
-    # a last block of 2, against the whole lattice in one block
-    @pytest.mark.parametrize("block_cells", [1, 3 << 15])
-    def test_blocks_match_whole_lattice(self, monkeypatch, block_cells):
-        labels = tuple("abcdefgh"[:MAX_AXIOM_GROUND])
-        full = delta_separation_oracle(random_digraph(labels, random.Random(7), p=0.4))
-        rng = random.Random(8)
-        subs = subsets_by_size(labels)
-        outside = {t for t in itertools.product(subs, repeat=3) if rng.random() < 0.1}
-
-        def query(a, b, c):
-            if (a, b, c) in outside:
-                raise OracleDomainError("out of domain")
-            return full.query(a, b, c)
-
-        partial = IrrelevanceOracle(ground=labels, query=query)
-        tables = [(o, build_truth_table(o)) for o in (full, partial)]
+    # dense blocks of one first-axis rank, and at 5 nodes blocks of 3 ranks
+    # with a last block of 2; listed tuples in chunks of one, and chunks of
+    # 1,000 or 1,024 with a ragged last chunk; all against the whole
+    # lattice and the whole lists in one block.  Left disjoint intersection
+    # cannot fail with A empty, the first 4^5 = 1,024 listed tuples at 5
+    # nodes, so its counterexamples lie past the first chunk.
+    @pytest.mark.parametrize("n, block_cells, chunk_tuples", [
+        (3, 1, 1),
+        (MAX_AXIOM_GROUND, 1, 1000),
+        (MAX_AXIOM_GROUND, 3 << 15, 1 << 10),
+    ])
+    def test_blocks_match_whole_lattice(self, monkeypatch, n, block_cells, chunk_tuples):
+        tables = [(o, build_truth_table(o)) for o in _test_oracles(n)]
 
         def reports():
             return [
@@ -270,12 +266,100 @@ class TestVectorizedEngineAgainstSlowPath:
             ]
 
         monkeypatch.setattr(graphoid, "_BLOCK_CELLS", 1 << 20)
+        monkeypatch.setattr(graphoid, "_CHUNK_TUPLES", 1 << 20)
         whole = reports()
         monkeypatch.setattr(graphoid, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(graphoid, "_CHUNK_TUPLES", chunk_tuples)
         assert reports() == whole
-        # offsets matter: some first counterexample lies past the first rank
+        # offsets matter: some first counterexample lies past the first
+        # rank, and some in a listed property past the first chunk
         assert any(r.counterexample and r.counterexample["A"] for r in whole)
         assert any(r.skipped for r in whole)
+        t = tables[0][1].tables
+        rank = {t.set_of(r): r for r in range(t.size)}
+        past = [
+            np.searchsorted(
+                graphoid._admitted(r.prop, n),
+                np.ravel_multi_index([rank[s] for s in r.counterexample.values()], (t.size,) * 4),
+            ) >= chunk_tuples
+            for r in whole
+            if r.prop in graphoid._LISTED and r.counterexample
+        ]
+        assert any(past)
+
+
+# admitted rank tuples per ground element of each listed property: the
+# element lies in none or one of four disjoint sets (5); in A or not, and
+# in none or one of B, C, D, with D apart from A (7); any of the 16 bit
+# patterns but D without B and A & B outside C | D (11)
+ADMITTED_PER_ELEMENT = {
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: 5,
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: 5,
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: 7,
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: 11,
+}
+
+
+def _test_oracles(n):
+    """A delta-separation oracle on n nodes, one that raises for about
+    10% of the triples, and one with about 2% of its answers flipped."""
+    labels = tuple("abcdefgh"[:n])
+    full = delta_separation_oracle(random_digraph(labels, random.Random(7), p=0.4))
+    rng = random.Random(8)
+    subs = subsets_by_size(labels)
+    triples = list(itertools.product(subs, repeat=3))
+    outside = {t for t in triples if rng.random() < 0.1}
+    flipped = {t for t in triples if rng.random() < 0.02}
+
+    def partial(a, b, c):
+        if (a, b, c) in outside:
+            raise OracleDomainError("out of domain")
+        return full.query(a, b, c)
+
+    def noisy(a, b, c):
+        return full.query(a, b, c) != ((a, b, c) in flipped)
+
+    return (
+        full,
+        IrrelevanceOracle(ground=labels, query=partial),
+        IrrelevanceOracle(ground=labels, query=noisy),
+    )
+
+
+class TestAdmittedTuples:
+    @pytest.mark.parametrize("n", range(MAX_AXIOM_GROUND + 1))
+    @pytest.mark.parametrize("prop", list(ADMITTED_PER_ELEMENT))
+    def test_lists_are_the_side_condition(self, prop, n):
+        assert set(ADMITTED_PER_ELEMENT) == graphoid._LISTED
+        listed = graphoid._admitted(prop, n)
+        assert graphoid._admitted(prop, n) is listed
+        assert len(listed) == ADMITTED_PER_ELEMENT[prop] ** n
+        names, rule = graphoid._RULES[prop]
+        oracle = constant_oracle(tuple("abcdefgh"[:n]))
+        table = build_truth_table(oracle)
+        if n <= 3:
+            replay = graphoid._Replay(oracle)
+            sets = [table.tables.set_of(r) for r in range(table.tables.size)]
+            combos = itertools.product(sets, repeat=len(names))
+            want = [pos for pos, combo in enumerate(combos) if rule(replay, *combo)[0]]
+        else:
+            want = np.concatenate([
+                np.flatnonzero(struct) + where.start
+                for where, struct, _, _ in graphoid._violations(table, names, rule)
+            ])
+        assert np.array_equal(listed, want)
+
+    @pytest.mark.parametrize("n", [3, MAX_AXIOM_GROUND])
+    def test_listed_reports_cover_the_list(self, n):
+        full, partial, _ = _test_oracles(n)
+        skipped = 0
+        for oracle in (full, partial):
+            table = build_truth_table(oracle)
+            for prop in ADMITTED_PER_ELEMENT:
+                report = check_derived(oracle, prop, table)
+                assert report.checked + report.skipped == len(graphoid._admitted(prop, n))
+                skipped += report.skipped
+        assert skipped
 
 
 class TestReducibleTableMatchesGenericTable:
