@@ -545,16 +545,22 @@ def _uniformized(
     K^k @ block serves every window: each keeps its own Poisson weight
     and cumulative mass, and leaves the sum once the mass it has not
     yet added is at most POISSON_TAIL.  A window with lam h above
-    UNIFORMIZATION_MAX_MEAN is halved, P(h) B = P(h/2) (P(h/2) B), so
-    the weights never underflow; callers keep lam h within
-    MAX_WINDOW_MEAN, which bounds the halving.  Results are clipped
-    at 0."""
+    UNIFORMIZATION_MAX_MEAN is halved d times, until it is not, and the
+    series at h / 2^d is applied 2^d times in sequence, P(h) B =
+    P(h/2^d)(... (P(h/2^d) B)), so the weights never underflow; callers
+    keep lam h within MAX_WINDOW_MEAN, which bounds d.  Results are
+    clipped at 0, after every application."""
     out: list = [None] * len(hs)
     short = []
     for i, h in enumerate(hs):
-        if lam * h > UNIFORMIZATION_MAX_MEAN:
-            (half,) = _uniformized(step, lam, block, (h / 2.0,))
-            (out[i],) = _uniformized(step, lam, half, (h / 2.0,))
+        halvings = 0
+        while lam * h > UNIFORMIZATION_MAX_MEAN:
+            h /= 2.0
+            halvings += 1
+        if halvings:
+            out[i] = block
+            for _ in range(1 << halvings):
+                (out[i],) = _uniformized(step, lam, out[i], (h,))
         else:
             short.append(i)
     means = [lam * hs[i] for i in short]

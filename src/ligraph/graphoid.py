@@ -27,7 +27,8 @@ Each property is declared once, in the ``_RULES`` table: its quantified
 variable names (``"AB"``, ``"ABC"`` or ``"ABCD"``) and one rule
 ``rule(x, A, B, ...) -> (side_condition, premise, conclusion)``.  An
 instance is a violation when the side condition and premise hold and
-the conclusion fails.  Rules are written with the set operators ``|``,
+the conclusion fails.  The side condition is structural: it never
+queries the relation.  Rules are written with the set operators ``|``,
 ``&``, ``-`` and ``<=`` and three hooks of the backend ``x``:
 ``x.q(a, b, c)`` queries the relation, ``x.disjoint(*sets)`` tests
 pairwise disjointness and ``x.forall(S, clause)`` requires
@@ -36,24 +37,29 @@ same rules:
 
 - rank space (``check_axiom`` / ``check_derived``): every quantified
   set is an array of subset ranks, and the lattice is evaluated with
-  numpy against a precomputed truth table, one block of at most 2^16
-  cells at a time (``_BLOCK_CELLS``), so exhaustive sweeps over
-  thousands of graphs stay fast and every intermediate array stays
-  small.  Ranks are ``uint16`` (``RANK_DTYPE``), and each query
-  ``q(a, b, c)`` is one ``np.take`` from the flattened table at
-  ``a*S^2 + b*S + c`` (S = 2^n subsets), which stays below 2^15 at
-  ``MAX_AXIOM_GROUND``; the set operators gather from flat S x S
-  tables the same way.  A property whose side condition couples all
-  four sets (``_LISTED``) admits only 5^n, 7^n or 11^n of the 16^n rank
-  tuples; it runs on the list of their C-order positions instead, in
-  chunks of at most 2^15 tuples (``_CHUNK_TUPLES``).  The list is
-  ascending, so its first violating tuple is the first counterexample
-  in the same order; it depends only on the ground size n and is built
-  on first use.  The table asks the oracle each distinct triple
-  once: every triple, or for an ``overlap_reducible`` oracle such as
-  delta-separation only the reduced triples (A-(B|C), B, C-B).  When no
-  asked triple is out of the oracle's domain the evaluability gather
-  is skipped;
+  numpy against a precomputed truth table.  Ranks are ``uint16``
+  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one ``np.take``
+  from the flattened table at ``a*S^2 + b*S + c`` (S = 2^n subsets),
+  which stays below 2^15 at ``MAX_AXIOM_GROUND``; the set operators
+  gather from flat S x S tables the same way.  A rule is evaluated only
+  on the rank tuples its side condition admits.  Its coupled variables
+  are the first one and those the side condition is written in, read
+  off the rule by running it on ``_Uses``, which traces the variables
+  each term reads; the others are free.  The coupled rank tuples
+  where the side condition holds are listed once per ground size, on
+  first use: all S ranks of A when the side condition is ``True``, 3^n
+  of the 4^n (A, D) pairs for ``D <= A``, 6^n (A, B, D) tuples for
+  ``D <= B``, and 5^n, 7^n or 11^n of the 16^n tuples for the
+  conditions on all four sets.  One evaluator puts listed entries on one
+  axis and each free variable on its own, in chunks of at most 2^15
+  cells (``_BLOCK_CELLS``), so every intermediate array stays small.
+  The first counterexample is the violating cell with the smallest
+  position in the lattice order, which is not the chunk order when a
+  free variable comes before a coupled one.  The table asks the oracle
+  each distinct triple once: every triple, or for an
+  ``overlap_reducible`` oracle such as delta-separation only the
+  reduced triples (A-(B|C), B, C-B).  When no asked triple is out of
+  the oracle's domain the evaluability gather is skipped;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
   the truth table.
@@ -431,98 +437,146 @@ class _RankSpace:
         return holds
 
 
-# Cells per block of the first quantifier's axis.  A 4-set rule on five
-# nodes spans 2^20 cells; evaluated whole, every intermediate array is
-# fresh memory, so each check pays for thousands of page faults and
-# streams megabytes through the caches.  Blocks of this size keep the
-# intermediates small enough for the allocator to reuse in place.
-_BLOCK_CELLS = 1 << 16
-# Listed tuples per chunk, for the same reason.  On five nodes 2^15 ran
-# faster, with no more peak memory, than 2^12, 2^13, 2^14 or 2^16.
-_CHUNK_TUPLES = 1 << 15
-
-# Properties whose side condition couples all four sets: it admits 5^n
-# (pairwise disjoint), 7^n (overlap-tolerant) or 11^n (guarded) of the
-# 16^n rank tuples, so these are checked on the list of admitted tuples
-# alone.  Side conditions on two sets (D <= A, D <= B) admit 12^n, and a
-# dense block already broadcasts them over the free axes.
-_LISTED = frozenset({
-    DerivedProperty.LEFT_DISJOINT_INTERSECTION,
-    DerivedProperty.RIGHT_DISJOINT_INTERSECTION,
-    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION,
-    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION,
-})
+# Most cells one chunk evaluates.  A 4-set rule on five nodes spans 2^20
+# cells; evaluated whole, every intermediate array is fresh memory, so
+# each check pays for thousands of page faults and streams megabytes
+# through the caches.  Chunks of this size keep the intermediates small
+# enough for the allocator to reuse in place.  A chunk of listed 4-set
+# tuples holds a rank array per set: chunks of 2^16 cells raised the
+# peak memory of the ``axioms`` benchmark by 1.4 MB over 2^15 and ran no
+# faster.
+_BLOCK_CELLS = 1 << 15
 
 
-def _evaluate(tt: TruthTable, rule, sets: list[_Ranks], shape: tuple[int, ...]):
-    """(structural domain, evaluable domain, violations) of ``rule`` on
-    ``sets``, each broadcast to ``shape``."""
-    x = _RankSpace(tt)
-    side, premise, conclusion = rule(x, *sets)
-    struct = np.broadcast_to(side, shape)
-    dom = np.broadcast_to(struct & x.evaluable, shape)
-    return struct, dom, np.broadcast_to(dom & premise & ~conclusion, shape)
+class _Uses(frozenset):
+    """The quantified variables a rule term reads.  Used as a rule's
+    backend and sets, every operation returns the union of its operands'
+    variables, so a rule's side condition comes out as the variables it
+    is written in."""
 
+    def _join(self, *others) -> "_Uses":
+        return _Uses(self.union(*(o for o in others if isinstance(o, frozenset))))
 
-def _violations(tt: TruthTable, names: str, rule):
-    """Evaluate ``rule`` over every rank tuple, one block of the first
-    axis at a time, in order.  Yields (the block's C-order positions in
-    the lattice, structural domain, evaluable domain, violations), the
-    last three of shape (rows,) + (size,) * (len(names) - 1)."""
-    t = tt.tables
-    first, *rest = _axes(t.size, len(names))
-    inner = (t.size,) * len(rest)
-    cells = t.size ** len(rest)
-    step = max(1, _BLOCK_CELLS // cells)
-    for lo in range(0, t.size, step):
-        rows = min(step, t.size - lo)
-        sets = [_Ranks(t, first[lo : lo + step])] + [_Ranks(t, r) for r in rest]
-        yield (range(lo * cells, (lo + rows) * cells),
-               *_evaluate(tt, rule, sets, (rows,) + inner))
+    __or__ = __ror__ = __and__ = __rand__ = __sub__ = __le__ = __eq__ = _join
+    q = disjoint = _join
+    __hash__ = frozenset.__hash__
+
+    def __invert__(self) -> "_Uses":
+        return self
+
+    def forall(self, s: "_Uses", clause) -> "_Uses":
+        return self._join(s, clause(_Uses()))
 
 
 @lru_cache(maxsize=None)
-def _admitted(prop: Axiom | DerivedProperty, n: int) -> np.ndarray:
-    """The C-order positions of the rank tuples over n ground elements
-    that satisfy the side condition of ``prop``, ascending.  They depend
+def _admitted(prop: Axiom | DerivedProperty, n: int) -> tuple[str, np.ndarray]:
+    """The coupled variables of ``prop``, and the C-order positions of
+    their rank tuples over n ground elements where its side condition
+    holds, ascending.
+
+    The coupled variables are the first one and every one its side
+    condition is written in, in quantifier order.  The side condition
+    ignores the others, the free variables, so a full rank tuple is
+    admitted exactly when its coupled part is listed.  The list depends
     only on n, since rank r is the same subset of the sorted labels for
-    every ground; built on first use from one dense pass over an
-    all-true, all-evaluable table."""
-    t = _Tables(tuple(str(i) for i in range(n)))
-    cells = t.size**3
-    tt = TruthTable(t, np.ones(cells, dtype=bool), np.ones(cells, dtype=bool), True)
+    every ground; it is built on first use, in blocks of the first axis,
+    with the free variables set to the empty set."""
     names, rule = _RULES[prop]
-    listed = np.concatenate([
-        np.flatnonzero(struct).astype(np.uint32) + np.uint32(where.start)
-        for where, struct, _, _ in _violations(tt, names, rule)
-    ])
+    side = rule(_Uses(), *map(_Uses, names))[0]
+    reads = side if isinstance(side, frozenset) else frozenset()
+    coupled = "".join(v for v in names if v == names[0] or v in reads)
+    t = _Tables(tuple(str(i) for i in range(n)))
+    ones = np.ones(t.size**3, dtype=bool)
+    x = _RankSpace(TruthTable(t, ones, ones, True))
+    first, *rest = _axes(t.size, len(coupled))
+    cells = t.size ** len(rest)
+    step = max(1, _BLOCK_CELLS // cells)
+    parts = []
+    for lo in range(0, t.size, step):
+        ranks = dict(zip(coupled, [first[lo : lo + step]] + rest))
+        sets = [_Ranks(t, ranks.get(v, RANK_DTYPE(0))) for v in names]
+        shape = (min(step, t.size - lo),) + (t.size,) * len(rest)
+        side = np.broadcast_to(rule(x, *sets)[0], shape)
+        parts.append(np.flatnonzero(side).astype(np.uint32) + np.uint32(lo * cells))
+    listed = np.concatenate(parts)
     listed.setflags(write=False)
-    return listed
+    return coupled, listed
 
 
-def _listed_violations(tt: TruthTable, names: str, rule, listed: np.ndarray):
-    """Evaluate ``rule`` on the listed rank tuples only, in chunks of
-    _CHUNK_TUPLES, in order.  Yields what _violations does, with one
-    entry per listed tuple."""
+def _position(n: int, names: str, coupled: str, entries, free):
+    """The lattice positions (C order over ``names``) of the rank tuples
+    whose coupled variables sit at C-order positions ``entries`` of
+    their own rank tuples, and whose free variables at ``free``.  Each
+    rank is an n-bit field of a position, the first variable highest."""
+    k, f = len(coupled), len(names) - len(coupled)
+    pos = 0
+    for v in names:
+        if v in coupled:
+            k -= 1
+            field = entries >> (n * k)
+        else:
+            f -= 1
+            field = free >> (n * f)
+        pos = (pos << n) | (field & ((1 << n) - 1))
+    return pos
+
+
+def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray):
+    """Evaluate ``rule`` on every rank tuple whose coupled variables are
+    at a ``listed`` position, the free variables ranging over all ranks.
+
+    Returns the lattice position of the first violation (None if there
+    is none) and the number of tuples whose queries are all evaluable.
+    A chunk holds listed entries on its first axis and one axis per free
+    variable, at most _BLOCK_CELLS cells.  Chunk order is not lattice
+    order when a free variable comes before a coupled one.  So the
+    chunk's first violating entry is ranked by lattice position against
+    the entries after it that share its ranks up to the first free
+    variable, the only ones that can hold an earlier violation.  A chunk
+    whose first cell lies past the first violation so far cannot improve
+    on it, and once such a chunk is reached with every query evaluable,
+    the rest cannot either."""
     t = tt.tables
-    k = len(names)
-    for lo in range(0, len(listed), _CHUNK_TUPLES):
-        where = listed[lo : lo + _CHUNK_TUPLES]
-        # S = 2^n ranks per axis, so a position's ranks are its n-bit
-        # fields, the first axis highest (np.unravel_index is slower)
-        sets = [
-            _Ranks(t, ((where >> (t.n * (k - 1 - i))) & (t.size - 1)).astype(RANK_DTYPE))
-            for i in range(k)
-        ]
-        yield (where, *_evaluate(tt, rule, sets, where.shape))
-
-
-def _first_in(where, viol: np.ndarray) -> int | None:
-    """The C-order lattice position of the first violation in one block
-    or chunk whose cells sit at positions ``where``."""
-    flat = viol.reshape(-1)
-    idx = int(np.argmax(flat))
-    return int(where[idx]) if flat[idx] else None
+    n, size = t.n, t.size
+    free = [v for v in names if v not in coupled]
+    free_axes = dict(zip(free, _axes(size, 1 + len(free))[1:]))
+    # the coupled variables before the first free one lead every list
+    # entry's bits, so entries that agree on them share entry >> tail
+    lead = names.index(free[0]) if free else len(names)
+    tail = n * (len(coupled) - lead)
+    cells = size ** len(free)
+    step = max(1, _BLOCK_CELLS // cells)
+    hit = None
+    checked = len(listed) * cells if tt.all_evaluable else 0
+    for lo in range(0, len(listed), step):
+        where = listed[lo : lo + step]
+        late = hit is not None and hit <= _position(n, names, coupled, int(where[0]), 0)
+        if late and tt.all_evaluable:
+            break
+        column = where.reshape((-1,) + (1,) * len(free))
+        ranks = {
+            v: ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
+            for i, v in enumerate(coupled)
+        }
+        x = _RankSpace(tt)
+        sets = [_Ranks(t, ranks[v] if v in ranks else free_axes[v]) for v in names]
+        side, premise, conclusion = rule(x, *sets)
+        shape = (len(where),) + (size,) * len(free)
+        if not tt.all_evaluable:
+            checked += int(np.count_nonzero(np.broadcast_to(x.evaluable, shape)))
+        if late:
+            continue
+        viol = np.broadcast_to(side & x.evaluable & premise & ~conclusion, shape)
+        viol = viol.reshape(len(where), cells)
+        first = int(viol.argmax())
+        if not viol.flat[first]:
+            continue
+        row = first // cells
+        end = int(np.searchsorted(where, ((int(where[row]) >> tail) + 1) << tail))
+        rows = np.flatnonzero(viol[row:end].any(axis=1)) + row
+        found = int(_position(n, names, coupled, where[rows], viol[rows].argmax(axis=1)).min())
+        hit = found if hit is None else min(hit, found)
+    return hit, checked
 
 
 def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]:
@@ -532,19 +586,21 @@ def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]
 
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
     names, rule = _RULES[prop]
-    if prop in _LISTED:
-        blocks = _listed_violations(tt, names, rule, _admitted(prop, tt.tables.n))
-    else:
-        blocks = _violations(tt, names, rule)
-    checked = structural = 0
-    hit = None
-    for where, struct, dom, viol in blocks:
-        checked += int(np.count_nonzero(dom))
-        structural += int(np.count_nonzero(struct))
-        if hit is None:
-            hit = _first_in(where, viol)
+    coupled, listed = _admitted(prop, tt.tables.n)
+    hit, checked = _evaluate(tt, names, rule, coupled, listed)
+    admitted = len(listed) * tt.tables.size ** (len(names) - len(coupled))
     cx = None if hit is None else _sets_at(tt.tables, names, hit)
-    return CheckReport(prop, hit is None, cx, checked, structural - checked)
+    return CheckReport(prop, hit is None, cx, checked, admitted - checked)
+
+
+def _table_for(oracle: IrrelevanceOracle, table: TruthTable | None) -> TruthTable:
+    if table is None:
+        return build_truth_table(oracle)
+    if table.tables.ground != tuple(oracle.ground):
+        raise ValueError(
+            f"truth table is for ground {list(table.tables.ground)}, not {list(oracle.ground)}"
+        )
+    return table
 
 
 def check_axiom(
@@ -553,8 +609,7 @@ def check_axiom(
     """Exhaustively check one axiom; report the first violation if any."""
     if not isinstance(ax, Axiom):
         raise ValueError(f"not an axiom: {ax}")
-    tt = table if table is not None else build_truth_table(oracle)
-    return _check(tt, ax)
+    return _check(_table_for(oracle, table), ax)
 
 
 def check_derived(
@@ -563,8 +618,7 @@ def check_derived(
     """Exhaustively check one derived property."""
     if not isinstance(prop, DerivedProperty):
         raise ValueError(f"unknown derived property: {prop}")
-    tt = table if table is not None else build_truth_table(oracle)
-    return _check(tt, prop)
+    return _check(_table_for(oracle, table), prop)
 
 
 def check_semigraphoid_profile(
@@ -577,7 +631,10 @@ def check_semigraphoid_profile(
     ``expected`` may constrain any subset of the axioms; unmentioned
     axioms are allowed to come out either way.
     """
-    tt = table if table is not None else build_truth_table(oracle)
+    for key in expected or ():
+        if not isinstance(key, Axiom):
+            raise ValueError(f"expected pattern keys must be axioms, not {key!r}")
+    tt = _table_for(oracle, table)
     reports = tuple(check_axiom(oracle, ax, tt) for ax in GRAPHOID_AXIOMS)
     matches = None
     if expected is not None:
@@ -689,11 +746,10 @@ def find_right_decomposition_counterexample(
         extra = x.disjoint(A, B, C) & ~(B <= D) & (A.r > 0) & (B.r > 0)
         return side & extra, premise, conclusion
 
+    every_a = np.arange(1 << ground_size, dtype=np.uint32)
     for g in enumerate_digraphs(labels):
         tt = build_truth_table(delta_separation_oracle(g))
-        blocks = _violations(tt, names, disjoint_instance)
-        hits = (_first_in(where, v) for where, _, _, v in blocks)
-        hit = next((h for h in hits if h is not None), None)
+        hit, _ = _evaluate(tt, names, disjoint_instance, names[0], every_a)
         if hit is not None:
             return g, _sets_at(tt.tables, names, hit)
     return None

@@ -563,6 +563,20 @@ class TestCiDecay:
         # every window of the default ladder has lam h > UNIFORMIZATION_MAX_MEAN
         assert_decay_matches_dense(scaled_rates(three_cycle_process(), 400.0))
 
+    def test_halved_block_path_pinned(self, cycle3_spec):
+        # lam h = 9,800 is halved 8 times: 256 passes of the series in
+        # sequence; lam h = 60 once.  The digest was taken when the
+        # halving was still recursive, so it pins the outputs bitwise.
+        lam = float(np.max(-np.diag(build_generator(cycle3_spec).matrix)))
+        hs = (9800.0 / lam, 60.0 / lam)
+        assert lam * hs[0] == 9800.0
+        pi = uniform_distribution(cycle3_spec.space)
+        report = ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
+        text = json.dumps(report.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "65b243b01685d48a5f52e466ea306d3633768befa74112f90b1206b32b4a13fc"
+        )
+
     def test_matches_dense_expm_on_long_windows(self):
         assert_decay_matches_dense(three_cycle_process(), hs=(100.0, 7.0, 0.3))
 

@@ -95,6 +95,30 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="repeated"):
             check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
 
+    def test_table_from_another_ground_rejected(self):
+        # a 3-node table read as a 4-node oracle's would check 12^3 cells
+        oracle = constant_oracle(tuple("abcd"))
+        for ground in ("abc", "abce"):
+            table = build_truth_table(constant_oracle(tuple(ground)))
+            with pytest.raises(ValueError, match="truth table is for ground"):
+                check_axiom(oracle, Axiom.RIGHT_DECOMPOSITION, table)
+            with pytest.raises(ValueError, match="truth table is for ground"):
+                check_derived(oracle, DerivedProperty.LEFT_TRIM, table)
+            with pytest.raises(ValueError, match="truth table is for ground"):
+                check_semigraphoid_profile(oracle, None, table)
+        table = build_truth_table(oracle)
+        assert check_axiom(oracle, Axiom.RIGHT_DECOMPOSITION, table).checked == 6**4 * 16
+
+    @pytest.mark.parametrize("key", [DerivedProperty.LEFT_TRIM, "left_redundancy"])
+    def test_expected_keys_must_be_axioms(self, monkeypatch, key):
+        def no_check(*args):
+            raise AssertionError("a check ran before the pattern was read")
+
+        monkeypatch.setattr(graphoid, "check_axiom", no_check)
+        monkeypatch.setattr(graphoid, "build_truth_table", no_check)
+        with pytest.raises(ValueError, match="keys must be axioms"):
+            check_semigraphoid_profile(constant_oracle(("a", "b")), {key: True})
+
     def test_violates_rejects_unknown_keys(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
         lowercase = {"a": frozenset("a"), "b": frozenset("b")}
@@ -244,59 +268,102 @@ class TestVectorizedEngineAgainstSlowPath:
         assert (report.holds, report.counterexample) == (holds, first)
         assert (report.checked, report.skipped) == (checked, skipped)
 
-    # dense blocks of one first-axis rank, and at 5 nodes blocks of 3 ranks
-    # with a last block of 2; listed tuples in chunks of one, and chunks of
-    # 1,000 or 1,024 with a ragged last chunk; all against the whole
-    # lattice and the whole lists in one block.  Left disjoint intersection
-    # cannot fail with A empty, the first 4^5 = 1,024 listed tuples at 5
-    # nodes, so its counterexamples lie past the first chunk.
-    @pytest.mark.parametrize("n, block_cells, chunk_tuples", [
-        (3, 1, 1),
-        (MAX_AXIOM_GROUND, 1, 1000),
-        (MAX_AXIOM_GROUND, 3 << 15, 1 << 10),
+    # chunks of one listed entry; at 5 nodes chunks of 1,000 cells (one
+    # first-axis rank or (A, D) pair, 31 (A, B, D) tuples, 1,000 tuples of
+    # all four sets, most with a ragged last chunk) and of 3 * 2^10 cells
+    # (3 ranks of A for a 3-set rule, with a last chunk of 2; 3 (A, D)
+    # pairs, 96 (A, B, D) tuples, 3,072 tuples of all four sets); all
+    # against one chunk per rule.  Left disjoint intersection cannot fail
+    # with A empty, the first 4^5 = 1,024 listed tuples at 5 nodes, so its
+    # counterexamples lie past the first chunk.
+    @pytest.mark.parametrize("n, block_cells", [
+        (3, 1),
+        (MAX_AXIOM_GROUND, 1000),
+        (MAX_AXIOM_GROUND, 3 << 10),
     ])
-    def test_blocks_match_whole_lattice(self, monkeypatch, n, block_cells, chunk_tuples):
-        tables = [(o, build_truth_table(o)) for o in _test_oracles(n)]
+    def test_blocks_match_whole_lattice(self, monkeypatch, n, block_cells):
+        props = list(GRAPHOID_AXIOMS) + list(DerivedProperty)
+        cases = [(o, build_truth_table(o), prop) for o in _test_oracles(n) for prop in props]
 
         def reports():
             return [
                 check_axiom(o, prop, t) if isinstance(prop, Axiom) else check_derived(o, prop, t)
-                for o, t in tables
-                for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty)
+                for o, t, prop in cases
             ]
 
         monkeypatch.setattr(graphoid, "_BLOCK_CELLS", 1 << 20)
-        monkeypatch.setattr(graphoid, "_CHUNK_TUPLES", 1 << 20)
         whole = reports()
         monkeypatch.setattr(graphoid, "_BLOCK_CELLS", block_cells)
-        monkeypatch.setattr(graphoid, "_CHUNK_TUPLES", chunk_tuples)
         assert reports() == whole
         # offsets matter: some first counterexample lies past the first
-        # rank, and some in a listed property past the first chunk
+        # rank, and some past the first chunk of its rule
         assert any(r.counterexample and r.counterexample["A"] for r in whole)
         assert any(r.skipped for r in whole)
-        t = tables[0][1].tables
+        t = cases[0][1].tables
         rank = {t.set_of(r): r for r in range(t.size)}
-        past = [
-            np.searchsorted(
-                graphoid._admitted(r.prop, n),
-                np.ravel_multi_index([rank[s] for s in r.counterexample.values()], (t.size,) * 4),
-            ) >= chunk_tuples
-            for r in whole
-            if r.prop in graphoid._LISTED and r.counterexample
-        ]
-        assert any(past)
+
+        def located(prop, sets):
+            """An instance's lattice position and the chunk evaluating it."""
+            names, _ = graphoid._RULES[prop]
+            coupled, listed = graphoid._admitted(prop, n)
+            ranks = {v: rank[sets.get(v, frozenset())] for v in names}
+            entry = np.ravel_multi_index([ranks[v] for v in coupled], (t.size,) * len(coupled))
+            step = max(1, block_cells // t.size ** (len(names) - len(coupled)))
+            position = np.ravel_multi_index([ranks[v] for v in names], (t.size,) * len(names))
+            return position, np.searchsorted(listed, entry) // step
+
+        assert any(located(r.prop, r.counterexample)[1] for r in whole if r.counterexample)
+        if n > 3:
+            return
+        # with C and B free between A and D, some first D <= A
+        # counterexample lies in a later chunk than a violation with a
+        # larger lattice position: the first violation in chunk order is
+        # not the first counterexample
+        overtaken = []
+        for (o, _, prop), r in zip(cases, whole):
+            if prop not in (Axiom.LEFT_DECOMPOSITION, Axiom.LEFT_WEAK_UNION):
+                continue
+            if r.counterexample is None:
+                continue
+            first, chunk = located(prop, r.counterexample)
+            for sets in _instances(prop, list(rank)):
+                position, at = located(prop, sets)
+                if at < chunk and position > first and _replays_violation(o, prop, sets):
+                    overtaken.append((prop, sets))
+        assert overtaken
 
 
-# admitted rank tuples per ground element of each listed property: the
+def _replays_violation(oracle, prop, sets):
+    try:
+        return violates(oracle, prop, sets)
+    except OracleDomainError:
+        return False
+
+
+# coupled variables of each property, and its admitted coupled rank
+# tuples per ground element: A only (2); D <= A, so the element is in
+# neither, in A alone or in both (3); A free and D <= B (2 * 3); the
 # element lies in none or one of four disjoint sets (5); in A or not, and
 # in none or one of B, C, D, with D apart from A (7); any of the 16 bit
 # patterns but D without B and A & B outside C | D (11)
 ADMITTED_PER_ELEMENT = {
-    DerivedProperty.LEFT_DISJOINT_INTERSECTION: 5,
-    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: 5,
-    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: 7,
-    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: 11,
+    Axiom.LEFT_REDUNDANCY: ("A", 2),
+    Axiom.RIGHT_REDUNDANCY: ("A", 2),
+    Axiom.LEFT_DECOMPOSITION: ("AD", 3),
+    Axiom.RIGHT_DECOMPOSITION: ("ABD", 6),
+    Axiom.LEFT_WEAK_UNION: ("AD", 3),
+    Axiom.RIGHT_WEAK_UNION: ("ABD", 6),
+    Axiom.LEFT_CONTRACTION: ("A", 2),
+    Axiom.RIGHT_CONTRACTION: ("A", 2),
+    Axiom.LEFT_INTERSECTION: ("A", 2),
+    Axiom.RIGHT_INTERSECTION: ("A", 2),
+    DerivedProperty.LEFT_TRIM: ("A", 2),
+    DerivedProperty.RIGHT_TRIM: ("A", 2),
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: ("ABCD", 5),
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: ("ABCD", 5),
+    DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: ("ABD", 6),
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: ("ABCD", 7),
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", 11),
 }
 
 
@@ -330,24 +397,40 @@ class TestAdmittedTuples:
     @pytest.mark.parametrize("n", range(MAX_AXIOM_GROUND + 1))
     @pytest.mark.parametrize("prop", list(ADMITTED_PER_ELEMENT))
     def test_lists_are_the_side_condition(self, prop, n):
-        assert set(ADMITTED_PER_ELEMENT) == graphoid._LISTED
-        listed = graphoid._admitted(prop, n)
-        assert graphoid._admitted(prop, n) is listed
-        assert len(listed) == ADMITTED_PER_ELEMENT[prop] ** n
+        assert set(ADMITTED_PER_ELEMENT) == set(graphoid._RULES)
+        coupled, listed = graphoid._admitted(prop, n)
+        assert graphoid._admitted(prop, n)[1] is listed
+        want_coupled, per_element = ADMITTED_PER_ELEMENT[prop]
+        assert (coupled, len(listed)) == (want_coupled, per_element**n)
+        assert (np.diff(listed.astype(np.int64)) > 0).all()
+        # the side condition on every full rank tuple is the membership
+        # of its coupled part in the list: it does not read the free sets
         names, rule = graphoid._RULES[prop]
         oracle = constant_oracle(tuple("abcdefgh"[:n]))
         table = build_truth_table(oracle)
+        t = table.tables
         if n <= 3:
             replay = graphoid._Replay(oracle)
-            sets = [table.tables.set_of(r) for r in range(table.tables.size)]
-            combos = itertools.product(sets, repeat=len(names))
-            want = [pos for pos, combo in enumerate(combos) if rule(replay, *combo)[0]]
+            sets = [t.set_of(r) for r in range(t.size)]
+            admitted = set(listed.tolist())
+            for ranks in itertools.product(range(t.size), repeat=len(names)):
+                entry = 0
+                for name, r in zip(names, ranks):
+                    if name in coupled:
+                        entry = entry * t.size + r
+                side = rule(replay, *(sets[r] for r in ranks))[0]
+                assert (entry in admitted) == bool(side), ranks
         else:
-            want = np.concatenate([
-                np.flatnonzero(struct) + where.start
-                for where, struct, _, _ in graphoid._violations(table, names, rule)
-            ])
-        assert np.array_equal(listed, want)
+            # the whole lattice at once, in the rank-space backend
+            axes = dict(zip(names, graphoid._axes(t.size, len(names))))
+            side = rule(graphoid._RankSpace(table), *(graphoid._Ranks(t, a) for a in axes.values()))[0]
+            entry = np.int64(0)
+            for name in coupled:
+                entry = entry * t.size + axes[name]
+            shape = (t.size,) * len(names)
+            assert np.array_equal(
+                np.broadcast_to(np.isin(entry, listed), shape), np.broadcast_to(side, shape)
+            )
 
     @pytest.mark.parametrize("n", [3, MAX_AXIOM_GROUND])
     def test_listed_reports_cover_the_list(self, n):
@@ -355,9 +438,15 @@ class TestAdmittedTuples:
         skipped = 0
         for oracle in (full, partial):
             table = build_truth_table(oracle)
-            for prop in ADMITTED_PER_ELEMENT:
-                report = check_derived(oracle, prop, table)
-                assert report.checked + report.skipped == len(graphoid._admitted(prop, n))
+            for prop, (coupled, _) in ADMITTED_PER_ELEMENT.items():
+                if isinstance(prop, Axiom):
+                    report = check_axiom(oracle, prop, table)
+                else:
+                    report = check_derived(oracle, prop, table)
+                names, _ = graphoid._RULES[prop]
+                free = len(names) - len(coupled)
+                listed = graphoid._admitted(prop, n)[1]
+                assert report.checked + report.skipped == len(listed) * (1 << n) ** free
                 skipped += report.skipped
         assert skipped
 
