@@ -154,9 +154,6 @@ class CfmpSpec:
     def __post_init__(self):
         object.__setattr__(self, "intensities", MappingProxyType(dict(self.intensities)))
 
-    def validate(self) -> list[str]:
-        return validate_spec(self)
-
     @functools.cached_property
     def _compiled(self) -> _Compiled:
         return _Compiled(self)

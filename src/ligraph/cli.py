@@ -67,36 +67,26 @@ def _emit(obj) -> None:
 def cmd_dsep(args) -> int:
     g = _load_graph(args.graph)
     query = SeparationQuery(_names(args.a), _names(args.b), _names(args.c))
+    procedures = {
+        "moral": _separation.delta_separates,
+        "trail": _separation.delta_separates_trail,
+    }
+    methods = list(procedures) if args.method == "both" else [args.method]
+    verdicts = {m: procedures[m](g, query) for m in methods}
+    agree = len(set(verdicts.values())) == 1
+    report = {"separated": verdicts[methods[0]] if agree else None, "method": args.method}
+    if args.method == "both":
+        report.update(verdicts, agree=agree)
     reduced = query.reduced()
-    reduced_json = {
+    report["reduced_query"] = {
         "a": sorted(reduced.a),
         "b": sorted(reduced.b),
         "c": sorted(reduced.c),
     }
-    if args.method == "both":
-        moral = _separation.delta_separates(g, query)
-        trail = _separation.delta_separates_trail(g, query)
-        _emit(
-            {
-                "separated": moral if moral == trail else None,
-                "method": "both",
-                "moral": moral,
-                "trail": trail,
-                "agree": moral == trail,
-                "reduced_query": reduced_json,
-            }
-        )
-        if moral != trail:
-            print("error: separation methods disagree", file=sys.stderr)
-            return 1
-        return 0
-    if args.method == "trail":
-        verdict = _separation.delta_separates_trail(g, query)
-    else:
-        verdict = _separation.delta_separates(g, query)
-    _emit(
-        {"separated": verdict, "method": args.method, "reduced_query": reduced_json}
-    )
+    _emit(report)
+    if not agree:
+        print("error: separation methods disagree", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -210,9 +210,6 @@ class ProfileReport:
                 return r
         raise KeyError(ax)
 
-    def holds_pattern(self) -> dict[Axiom, bool]:
-        return {r.prop: r.holds for r in self.reports}
-
 
 # --- rank-space tables ------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """Directed and undirected graphs over string-labeled nodes.
 
-Graphs here are immutable values.  Directed graphs may contain both
-(j, k) and (k, j) at once (feedback between two processes) but never
-self-loops.  Node sets are held as bitmasks internally so that the
-exhaustive enumeration suites can run millions of queries; the public
-API speaks frozensets of labels.
+Graphs here are immutable values.  A label is a nonempty string
+without whitespace, double quotes or backslashes, so every label can be
+written into DOT as it is.  Directed graphs may contain both (j, k) and
+(k, j) at once (feedback between two processes) but never self-loops.
+``DiGraph`` and ``UGraph`` share one private base that holds the labels,
+the edge checks, the masks, value semantics and the text forms; each
+keeps only its own adjacency and operations.  Node sets are held as
+bitmasks internally so that the exhaustive enumeration suites can run
+millions of queries; the public API speaks frozensets of labels.
 """
 
 from __future__ import annotations
@@ -28,8 +32,11 @@ class UnknownNodeError(GraphError):
 def _check_label(label) -> str:
     if not isinstance(label, str):
         raise GraphError(f"node label must be a string, got {type(label).__name__}")
-    if not label or any(ch.isspace() for ch in label):
-        raise GraphError(f"node label must be nonempty without whitespace: {label!r}")
+    if label.split() != [label] or '"' in label or "\\" in label:
+        raise GraphError(
+            f"node label must be nonempty without whitespace, double quotes "
+            f"or backslashes: {label!r}"
+        )
     return label
 
 
@@ -48,17 +55,26 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-class DiGraph:
-    """Immutable directed graph; parallel opposite edges allowed, self-loops not."""
+class _Graph:
+    """What both graph kinds share: labels and their index, the per-edge
+    checks, mask plumbing, value semantics and the text forms.
 
-    __slots__ = ("labels", "edges", "_index", "_children", "_parents")
+    A subclass supplies its arrow and DOT keyword, and builds its own
+    adjacency from what ``_read_edges`` gives.
+    """
 
-    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        labels = tuple(sorted({_check_label(n) for n in nodes}))
-        index = {name: i for i, name in enumerate(labels)}
-        n = len(labels)
-        children = [0] * n
-        parents = [0] * n
+    __slots__ = ("labels", "edges", "_index")
+    _arrow: str
+    _dot_keyword: str
+
+    def _read_edges(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
+        """Set the sorted labels and their index.  Check that each edge's
+        endpoints exist and differ, and read it as directed: give the edge
+        set and each node's out- and in-neighbour masks."""
+        self.labels = labels = tuple(sorted({_check_label(n) for n in nodes}))
+        self._index = index = {name: i for i, name in enumerate(labels)}
+        out = [0] * len(labels)
+        into = [0] * len(labels)
         seen = set()
         for j, k in edges:
             if j not in index:
@@ -68,28 +84,13 @@ class DiGraph:
             if j == k:
                 raise GraphError(f"self-loop not allowed: {j!r}")
             seen.add((j, k))
-            children[index[j]] |= 1 << index[k]
-            parents[index[k]] |= 1 << index[j]
-        self.labels = labels
-        self.edges = frozenset(seen)
-        self._index = index
-        self._children = tuple(children)
-        self._parents = tuple(parents)
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> "DiGraph":
-        edges = list(edges)
-        names = set(nodes)
-        for j, k in edges:
-            names.add(j)
-            names.add(k)
-        return cls(names, edges)
-
-    # --- value semantics -------------------------------------------------
+            out[index[j]] |= 1 << index[k]
+            into[index[k]] |= 1 << index[j]
+        return frozenset(seen), tuple(out), tuple(into)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, DiGraph)
+            type(other) is type(self)
             and self.labels == other.labels
             and self.edges == other.edges
         )
@@ -98,10 +99,8 @@ class DiGraph:
         return hash((self.labels, self.edges))
 
     def __repr__(self) -> str:
-        es = ", ".join(f"{j}->{k}" for j, k in sorted(self.edges))
-        return f"DiGraph({list(self.labels)}, [{es}])"
-
-    # --- mask plumbing ----------------------------------------------------
+        es = ", ".join(f"{j}{self._arrow}{k}" for j, k in sorted(self.edges))
+        return f"{type(self).__name__}({list(self.labels)}, [{es}])"
 
     def mask_of(self, names: Iterable[str]) -> int:
         m = 0
@@ -119,14 +118,32 @@ class DiGraph:
     def vertices(self) -> frozenset[str]:
         return frozenset(self.labels)
 
-    def has_edge(self, j: str, k: str) -> bool:
-        return (j, k) in self.edges
+    def to_dot(self, name: str = "G") -> str:
+        lines = [f"{self._dot_keyword} {name} {{"]
+        lines += [f'  "{v}";' for v in self.labels]
+        lines += [f'  "{j}" {self._arrow} "{k}";' for j, k in sorted(self.edges)]
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
-    def parents_mask(self, mask: int) -> int:
-        out = 0
-        for i in _iter_bits(mask):
-            out |= self._parents[i]
-        return out & ~mask
+
+class DiGraph(_Graph):
+    """Immutable directed graph; parallel opposite edges allowed, self-loops not."""
+
+    __slots__ = ("_children", "_parents")
+    _arrow = "->"
+    _dot_keyword = "digraph"
+
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
+        self.edges, self._children, self._parents = self._read_edges(nodes, edges)
+
+    @classmethod
+    def from_edges(cls, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> "DiGraph":
+        edges = list(edges)
+        names = set(nodes)
+        for j, k in edges:
+            names.add(j)
+            names.add(k)
+        return cls(names, edges)
 
     def ancestral_mask(self, mask: int) -> int:
         acc = mask
@@ -142,7 +159,11 @@ class DiGraph:
 
     def parents(self, of: Iterable[str]) -> frozenset[str]:
         """Nodes outside ``of`` with an edge into some member of ``of``."""
-        return self.names_of(self.parents_mask(self.mask_of(of)))
+        mask = self.mask_of(of)
+        out = 0
+        for i in _iter_bits(mask):
+            out |= self._parents[i]
+        return self.names_of(out & ~mask)
 
     def ancestral_set(self, of: Iterable[str]) -> frozenset[str]:
         """``of`` together with every node that has a directed path into it."""
@@ -197,7 +218,10 @@ class DiGraph:
         for e in edges:
             if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
                 raise GraphError(f"edge must be a 2-element array of strings: {e!r}")
-        return cls(nodes, [tuple(e) for e in edges])
+        pairs = [tuple(e) for e in edges]
+        if len(set(pairs)) != len(pairs):
+            raise GraphError(f"graph JSON 'edges' has repeated edges: {edges!r}")
+        return cls(nodes, pairs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
@@ -206,71 +230,18 @@ class DiGraph:
     def from_json(cls, text: str) -> "DiGraph":
         return cls.from_json_dict(_load_json(text))
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"digraph {name} {{"]
-        lines += [f'  "{v}";' for v in self.labels]
-        lines += [f'  "{j}" -> "{k}";' for j, k in sorted(self.edges)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
-
-class UGraph:
+class UGraph(_Graph):
     """Immutable undirected graph without self-loops."""
 
-    __slots__ = ("labels", "edges", "_index", "_adj")
+    __slots__ = ("_adj",)
+    _arrow = "--"
+    _dot_keyword = "graph"
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        labels = tuple(sorted({_check_label(n) for n in nodes}))
-        index = {name: i for i, name in enumerate(labels)}
-        adj = [0] * len(labels)
-        seen = set()
-        for a, b in edges:
-            if a not in index:
-                raise UnknownNodeError(a)
-            if b not in index:
-                raise UnknownNodeError(b)
-            if a == b:
-                raise GraphError(f"self-loop not allowed: {a!r}")
-            seen.add((min(a, b), max(a, b)))
-            adj[index[a]] |= 1 << index[b]
-            adj[index[b]] |= 1 << index[a]
-        self.labels = labels
-        self.edges = frozenset(seen)
-        self._index = index
-        self._adj = tuple(adj)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UGraph)
-            and self.labels == other.labels
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.edges))
-
-    def __repr__(self) -> str:
-        es = ", ".join(f"{a}--{b}" for a, b in sorted(self.edges))
-        return f"UGraph({list(self.labels)}, [{es}])"
-
-    @property
-    def vertices(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    def mask_of(self, names: Iterable[str]) -> int:
-        m = 0
-        for name in names:
-            i = self._index.get(name)
-            if i is None:
-                raise UnknownNodeError(name)
-            m |= 1 << i
-        return m
-
-    def names_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in _iter_bits(mask))
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self._adj
+        directed, out, into = self._read_edges(nodes, edges)
+        self.edges = frozenset((min(a, b), max(a, b)) for a, b in directed)
+        self._adj = tuple(map(int.__or__, out, into))
 
     def u_separated(self, a: Iterable[str], b: Iterable[str], c: Iterable[str]) -> bool:
         """True iff every path from ``a`` to ``b`` intersects ``c``.
@@ -281,13 +252,6 @@ class UGraph:
         return u_separated_masks(
             self._adj, self.mask_of(a), self.mask_of(b), self.mask_of(c)
         )
-
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        lines += [f'  "{v}";' for v in self.labels]
-        lines += [f'  "{a}" -- "{b}";' for a, b in sorted(self.edges)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def moral_adjacency(g: DiGraph, banned_sources: int, keep: int) -> list[int]:

@@ -66,8 +66,6 @@ def delta_trail_masks(g: DiGraph, a: int, b: int, c: int) -> bool:
     a, b, c = _reduce_masks(a, b, c)
     if a == 0 or b == 0:
         return True
-    if a & b:
-        return False
     n = len(g.labels)
     # Allowed trails contain no edge from b to the outside; drop those
     # edges in both traversal directions.

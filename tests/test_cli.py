@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ligraph.separation
 from ligraph import cli
 from ligraph.fixtures import repo_fixture_files
+from ligraph.graphs import DiGraph, GraphError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -113,6 +118,7 @@ class TestDsep:
             {"nodes": ["a", "a", "b"], "edges": []},
             {"nodes": ["a", "b"], "edges": [[["a"], "b"]]},
             {"nodes": ["a", "b"], "edges": [[{"x": 1}, "b"]]},
+            {"nodes": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]},
         ],
     )
     def test_malformed_graph_json_errors(self, capsys, tmp_path, graph):
@@ -173,6 +179,14 @@ class TestMoralize:
         # health-visits marriage over their common child hosp
         assert '"health" -- "visits";' in out
         assert '"health" -- "survival";' in out
+
+    @pytest.mark.parametrize("label", ['a"b', "a\\"])
+    def test_dot_breaking_label_errors(self, capsys, tmp_path, label):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": [label, "b"], "edges": [[label, "b"]]}))
+        code, out, err = run(capsys, "moralize", str(path))
+        assert_one_line_error(code, out, err)
+        assert "double quotes or backslashes" in err
 
 
 class TestAxioms:
@@ -242,6 +256,17 @@ class TestDeriveGraph:
         )
         assert code == 0
         assert '"a" -> "b";' in dot_path.read_text()
+
+    @pytest.mark.parametrize("name", ['a"b', "a\\"])
+    def test_dot_breaking_component_name_errors(self, capsys, tmp_path, name):
+        text = (FIXTURES / "three_cycle_process.json").read_text()
+        spec = tmp_path / "spec.json"
+        spec.write_text(text.replace('"a"', json.dumps(name)))
+        dot_path = tmp_path / "g.dot"
+        code, out, err = run(capsys, "derive-graph", str(spec), "--dot", str(dot_path))
+        assert_one_line_error(code, out, err)
+        assert "double quotes or backslashes" in err
+        assert not dot_path.exists()
 
     def test_invalid_spec_errors(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -504,14 +529,71 @@ def test_overflowing_exit_rate_errors(capsys, tmp_path, monkeypatch, argv):
     assert "total exit rate overflows" in err
 
 
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+GOOD_LABELS = st.sampled_from(["a", "b", "c", "\u00e9"])
+BAD_LABELS = st.sampled_from(["", "a b", 'a"', "b\\", 0, None, ["a"]])
+
+
+@st.composite
+def well_formed_graphs(draw):
+    nodes = draw(st.lists(GOOD_LABELS, min_size=2, max_size=4, unique=True))
+    pairs = st.sampled_from([[j, k] for j in nodes for k in nodes if j != k])
+    return {"nodes": nodes, "edges": draw(st.lists(pairs, max_size=6, unique_by=tuple))}
+
+
+@st.composite
+def graph_objects(draw):
+    """Graph-shaped JSON objects, some of them well formed."""
+    labels = GOOD_LABELS | BAD_LABELS
+    nodes = draw(st.lists(GOOD_LABELS, max_size=4, unique=True) | st.lists(labels, max_size=4))
+    ends = st.sampled_from(nodes) if nodes and draw(st.booleans()) else labels
+    edge = st.lists(ends, min_size=2, max_size=2) | st.lists(ends, max_size=3)
+    return {"nodes": nodes, "edges": draw(st.lists(edge, max_size=5) | JSON_VALUES)}
+
+
+class TestGraphJsonBoundary:
+    @given(
+        data=well_formed_graphs()
+        | graph_objects()
+        | st.fixed_dictionaries({"nodes": JSON_VALUES, "edges": JSON_VALUES})
+        | JSON_VALUES
+    )
+    def test_parses_and_round_trips_or_fails_in_one_line(self, tmp_path_factory, data):
+        try:
+            g = DiGraph.from_json_dict(data)
+        except GraphError:
+            g = None
+        else:
+            back = g.to_json_dict()
+            assert DiGraph.from_json_dict(back) == g
+            assert back["nodes"] == sorted(data["nodes"])
+            assert back["edges"] == sorted(data["edges"])
+        path = tmp_path_factory.getbasetemp() / "boundary_graph.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["dsep", str(path)])
+        if g is None:
+            assert_one_line_error(code, out.getvalue(), err.getvalue())
+        else:
+            assert code == 0 and err.getvalue() == ""
+            assert json.loads(out.getvalue())["separated"] is True
+
+
 class TestWireFormatStability:
     def test_fixture_files_are_canonical(self):
         for name, text in repo_fixture_files().items():
             assert (FIXTURES / name).read_text() == text
 
     def test_graph_json_fixpoint(self):
-        from ligraph.graphs import DiGraph
-
         for name in ("three_cycle_graph.json", "home_visits_graph.json"):
             text = (FIXTURES / name).read_text()
             once = DiGraph.from_json(text).to_json()

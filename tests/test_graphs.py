@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -43,6 +44,12 @@ class TestConstruction:
             DiGraph(["a b"])
         with pytest.raises(GraphError):
             DiGraph([3])
+        # a quote or backslash would end or escape a quoted DOT identifier
+        for label in ('a"b', "a\\", '"'):
+            with pytest.raises(GraphError, match="double quotes or backslashes"):
+                DiGraph([label])
+            with pytest.raises(GraphError, match="double quotes or backslashes"):
+                UGraph([label])
 
     def test_two_cycle_allowed(self):
         g = DiGraph.from_edges([("a", "b"), ("b", "a")])
@@ -54,6 +61,9 @@ class TestConstruction:
         assert g1 == g2
         assert hash(g1) == hash(g2)
         assert g1 != DiGraph(["a", "b"])
+        # the same labels and edges make a different graph of the other kind
+        assert g1 != UGraph(["a", "b"], [("a", "b")]) and UGraph(["a", "b"], [("a", "b")]) != g1
+        assert DiGraph([]) != UGraph([])
 
 
 class TestParents:
@@ -266,6 +276,14 @@ class TestSerialization:
         # the constructor still merges repeated labels by design
         assert DiGraph(["a", "a", "b"]).labels == ("a", "b")
 
+    def test_json_rejects_repeated_edges(self):
+        with pytest.raises(GraphError, match="repeated edges"):
+            DiGraph.from_json_dict({"nodes": ["a", "b"], "edges": [["a", "b"], ["a", "b"]]})
+        # opposite edges are two edges, and the constructor merges repeats
+        both = DiGraph.from_json_dict({"nodes": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]})
+        assert both.edges == {("a", "b"), ("b", "a")}
+        assert DiGraph(["a", "b"], [("a", "b"), ("a", "b")]).edges == {("a", "b")}
+
     def test_dot_directed(self, cycle3):
         dot = cycle3.to_dot()
         assert dot.startswith("digraph G {")
@@ -276,6 +294,30 @@ class TestSerialization:
         dot = h.to_dot()
         assert dot.startswith("graph G {")
         assert '"a" -- "c";' in dot
+
+
+class TestTextForms:
+    # SHA-256 of each text form over all 4,096 four-node digraphs in
+    # enumeration order and over their moral graphs: any change to how
+    # either graph kind prints itself changes a digest.
+    DIGESTS = {
+        "repr": "95e42351e945ae5cc27518d8ffd556659421288ae6917d69f8a6366c6f7c58f6",
+        "dot": "9075c1a01ae9dd79f01847194f3298655c4f5f5a34e6e461bf9eaf5da991d9c7",
+        "json": "0d7551a7e4a0562bc1a39fa5552b5939ed81a8017f1d43f1d932165ee92327ed",
+        "moral_repr": "f5aa1cac0397dbe38a95dc8b1a485ae5283a0532b93e3e3eefc80d2532100803",
+        "moral_dot": "908aa6cfb609257005b7437ebc9d3ce13c135969b606e038a9750ccd6cd8567e",
+    }
+
+    def test_four_node_digests(self):
+        forms = {name: hashlib.sha256() for name in self.DIGESTS}
+        for g in enumerate_digraphs("abcd"):
+            h = g.moralize()
+            forms["repr"].update((repr(g) + "\n").encode())
+            forms["dot"].update(g.to_dot().encode())
+            forms["json"].update(g.to_json().encode())
+            forms["moral_repr"].update((repr(h) + "\n").encode())
+            forms["moral_dot"].update(h.to_dot().encode())
+        assert {name: d.hexdigest() for name, d in forms.items()} == self.DIGESTS
 
 
 class TestEnumeration:
