@@ -121,10 +121,11 @@ def cmd_derive_graph(args) -> int:
     derived = derive_graph(spec)
     for j, k in vacuous_dependencies(spec):
         print(f"warning: vacuous dependency {j} -> {k} (no edge emitted)", file=sys.stderr)
-    sys.stdout.write(derived.to_json())
+    # the DOT file first: exit code 2 must leave stdout empty
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(derived.to_dot())
+    sys.stdout.write(derived.to_json())
     return 0
 
 

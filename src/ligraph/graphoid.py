@@ -24,21 +24,22 @@ The derived properties are:
   sufficient side conditions that make it sound.
 
 Each property is declared once, in the ``_RULES`` table: its quantified
-variable names (``"AB"``, ``"ABC"`` or ``"ABCD"``) and one rule
-``rule(x, A, B, ...) -> (side_condition, premise, conclusion)``.  An
-instance is a violation when the side condition and premise hold and
-the conclusion fails.  The side condition is structural: it never
-queries the relation.  Rules are written with the set operators ``|``,
-``&``, ``-`` and ``<=`` and three hooks of the backend ``x``:
-``x.q(a, b, c)`` queries the relation, ``x.disjoint(*sets)`` tests
-pairwise disjointness and ``x.forall(S, clause)`` requires
-``clause(k)`` for every singleton ``k`` of ``S``.  Two backends run the
-same rules:
+variable names (``"AB"``, ``"ABC"`` or ``"ABCD"``), one rule
+``rule(x, A, B, ...) -> (side_condition, premise, conclusion)`` and,
+optionally, a guard ``guard(x, A, B, ...) -> truth value``, one more
+premise that is costly to ask.  An instance is a violation when the
+side condition, premise and guard hold and the conclusion fails.  The
+side condition is structural: it never queries the relation.  Rules
+and guards are written with the set operators ``|``, ``&``, ``-`` and
+``<=`` and three hooks of the backend ``x``: ``x.q(a, b, c)`` queries
+the relation, ``x.disjoint(*sets)`` tests pairwise disjointness and
+``x.forall(S, clause)`` requires ``clause(k)`` for every singleton
+``k`` of ``S``.  Two backends run the same rules and guards:
 
 - rank space (``check_axiom`` / ``check_derived``): every quantified
   set is an array of subset ranks, and the lattice is evaluated with
   numpy against a precomputed truth table.  Ranks are ``uint16``
-  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one ``np.take``
+  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one ``take``
   from the flattened table at ``a*S^2 + b*S + c`` (S = 2^n subsets),
   which stays below 2^15 at ``MAX_AXIOM_GROUND``; the set operators
   gather from flat S x S tables the same way.  A rule is evaluated only
@@ -55,18 +56,29 @@ same rules:
   cells (``_BLOCK_CELLS``), so every intermediate array stays small.
   The first counterexample is the violating cell with the smallest
   position in the lattice order, which is not the chunk order when a
-  free variable comes before a coupled one.  The table asks the oracle
-  each distinct triple once: every triple, or for an
+  free variable comes before a coupled one.  When every triple is
+  evaluable the guard is staged: a chunk computes side condition,
+  premise and failed conclusion, keeps the cells where all three hold
+  and asks the guard on rank arrays of those cells alone.  For guarded
+  right decomposition under delta-separation that is 0.26% of the
+  admitted tuples over all 4-node digraphs.  With unevaluable triples
+  the guard is asked on every cell, as one more premise, so that the
+  count of checked instances covers its queries.  The table asks the
+  oracle each distinct triple once: every triple, or for an
   ``overlap_reducible`` oracle such as delta-separation only the
   reduced triples (A-(B|C), B, C-B).  When no asked triple is out of
   the oracle's domain the evaluability gather is skipped;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
-  the truth table.
+  the truth table.  The guard is asked along with the rule.
 
 To add a property: add the enum member, add its rule to ``_RULES``, and
 add the matching entry to the independent slow checker in
-``tests/helpers.py``.
+``tests/helpers.py``.  A premise that is costly to ask and rarely true
+where the rest of the rule is violated can be declared as the entry's
+third field, its guard, with the rule's signature and one truth value
+as result.  The side condition must not read it: the ``_Uses`` trace
+that finds the coupled variables never sees the guard.
 """
 
 from __future__ import annotations
@@ -246,7 +258,7 @@ class _Tables:
 
     def pair(self, table: np.ndarray, i, j) -> np.ndarray:
         """Look up the rank pairs (i, j) in one of the flat pair tables."""
-        return np.take(table, i * self.stride_b + j)
+        return table.take(i * self.stride_b + j)
 
     def set_of(self, rank: int) -> frozenset[str]:
         m = int(self.masks[rank])
@@ -316,18 +328,18 @@ def _axes(size: int, k: int):
 # --- property declarations --------------------------------------------------
 
 
-def _guarded_right_decomposition(x, A, B, C, D):
+def _right_decomposition_guard(x, A, B, C, D):
     # right decomposition is sound when B is irrelevant for D given A|C,
     # or when every k in C-D is irrelevant from A or to B given the rest
     CD = C | D
-    guard = x.q(B, D, A | C) | (
+    return x.q(B, D, A | C) | (
         x.q(B, A - CD, CD)
         & x.forall(C - D, lambda k: x.q(A, k, (C - k) | B) | x.q(B, k, (C - k) | D | A))
     )
-    return (D <= B) & ((A & B) <= CD), guard & x.q(A, B, C), x.q(A, D, C)
 
 
-# property -> (quantified variable names, rule); see the module docstring.
+# property -> (quantified variable names, rule[, guard]); see the module
+# docstring.
 _RULES = {
     Axiom.LEFT_REDUNDANCY: ("AB", lambda x, A, B: (True, True, x.q(A, B, A))),
     Axiom.RIGHT_REDUNDANCY: ("AB", lambda x, A, B: (True, True, x.q(A, B, B))),
@@ -361,7 +373,9 @@ _RULES = {
         x.disjoint(B, C, D) & x.disjoint(A, D),
         x.q(A, B, C | D) & x.q(A, C, B | D),
         x.q(A, B | C, D))),
-    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", _guarded_right_decomposition),
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", lambda x, A, B, C, D: (
+        (D <= B) & ((A & B) <= (C | D)), x.q(A, B, C), x.q(A, D, C)),
+        _right_decomposition_guard),
 }
 
 
@@ -408,8 +422,8 @@ class _RankSpace:
         x, y, z = sorted((a.r * t.stride_a, b.r * t.stride_b, c.r), key=np.size)
         idx = (x + y) + z
         if self.cell_evaluable is not None:
-            self.evaluable = self.evaluable & np.take(self.cell_evaluable, idx)
-        return np.take(self.values, idx)
+            self.evaluable = self.evaluable & self.cell_evaluable.take(idx)
+        return self.values.take(idx)
 
     def disjoint(self, *sets: _Ranks) -> np.ndarray:
         t = self.tt.tables
@@ -478,7 +492,7 @@ def _admitted(prop: Axiom | DerivedProperty, n: int) -> tuple[str, np.ndarray]:
     only on n, since rank r is the same subset of the sorted labels for
     every ground; it is built on first use, in blocks of the first axis,
     with the free variables set to the empty set."""
-    names, rule = _RULES[prop]
+    names, rule = _RULES[prop][:2]
     side = rule(_Uses(), *map(_Uses, names))[0]
     reads = side if isinstance(side, frozenset) else frozenset()
     coupled = "".join(v for v in names if v == names[0] or v in reads)
@@ -518,36 +532,35 @@ def _position(n: int, names: str, coupled: str, entries, free):
     return pos
 
 
-def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray):
-    """Evaluate ``rule`` on every rank tuple whose coupled variables are
-    at a ``listed`` position, the free variables ranging over all ranks.
+def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray, guard=None):
+    """Evaluate ``rule``, and ``guard`` as one more premise, on every rank
+    tuple whose coupled variables are at a ``listed`` position, the free
+    variables ranging over all ranks.
 
     Returns the lattice position of the first violation (None if there
     is none) and the number of tuples whose queries are all evaluable.
     A chunk holds listed entries on its first axis and one axis per free
-    variable, at most _BLOCK_CELLS cells.  Chunk order is not lattice
-    order when a free variable comes before a coupled one.  So the
-    chunk's first violating entry is ranked by lattice position against
-    the entries after it that share its ranks up to the first free
-    variable, the only ones that can hold an earlier violation.  A chunk
-    whose first cell lies past the first violation so far cannot improve
-    on it, and once such a chunk is reached with every query evaluable,
-    the rest cannot either."""
+    variable, at most _BLOCK_CELLS cells.  When every query is evaluable
+    the guard is staged: it is asked, on 1-D rank arrays, only at the
+    chunk's cells that violate the rule without it.  Otherwise it runs
+    on the whole chunk, so that its queries count towards ``checked``.
+    Chunk order is not lattice order when a free variable comes before a
+    coupled one, so a chunk's first violation is the least lattice
+    position among its violating cells.  A chunk whose first cell lies
+    past the first violation so far cannot improve on it, and once such
+    a chunk is reached with every query evaluable, the rest cannot
+    either."""
     t = tt.tables
     n, size = t.n, t.size
     free = [v for v in names if v not in coupled]
     free_axes = dict(zip(free, _axes(size, 1 + len(free))[1:]))
-    # the coupled variables before the first free one lead every list
-    # entry's bits, so entries that agree on them share entry >> tail
-    lead = names.index(free[0]) if free else len(names)
-    tail = n * (len(coupled) - lead)
     cells = size ** len(free)
     step = max(1, _BLOCK_CELLS // cells)
-    hit = None
+    end = hit = size ** len(names)  # past every lattice position
     checked = len(listed) * cells if tt.all_evaluable else 0
     for lo in range(0, len(listed), step):
         where = listed[lo : lo + step]
-        late = hit is not None and hit <= _position(n, names, coupled, int(where[0]), 0)
+        late = hit <= _position(n, names, coupled, int(where[0]), 0)
         if late and tt.all_evaluable:
             break
         column = where.reshape((-1,) + (1,) * len(free))
@@ -558,22 +571,22 @@ def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray
         x = _RankSpace(tt)
         sets = [_Ranks(t, ranks[v] if v in ranks else free_axes[v]) for v in names]
         side, premise, conclusion = rule(x, *sets)
+        if guard and not tt.all_evaluable:
+            premise = premise & guard(x, *sets)
         shape = (len(where),) + (size,) * len(free)
         if not tt.all_evaluable:
             checked += int(np.count_nonzero(np.broadcast_to(x.evaluable, shape)))
         if late:
             continue
-        viol = np.broadcast_to(side & x.evaluable & premise & ~conclusion, shape)
-        viol = viol.reshape(len(where), cells)
-        first = int(viol.argmax())
-        if not viol.flat[first]:
+        cell = np.flatnonzero(np.broadcast_to(side & x.evaluable & premise & ~conclusion, shape))
+        if not cell.size:
             continue
-        row = first // cells
-        end = int(np.searchsorted(where, ((int(where[row]) >> tail) + 1) << tail))
-        rows = np.flatnonzero(viol[row:end].any(axis=1)) + row
-        found = int(_position(n, names, coupled, where[rows], viol[rows].argmax(axis=1)).min())
-        hit = found if hit is None else min(hit, found)
-    return hit, checked
+        pos = _position(n, names, coupled, where[cell >> (n * len(free))], cell & (cells - 1))
+        if guard and tt.all_evaluable:
+            at = np.unravel_index(pos, (size,) * len(names))
+            pos = pos[guard(x, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in at))]
+        hit = int(pos.min(initial=hit))
+    return (None if hit == end else hit), checked
 
 
 def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]:
@@ -582,9 +595,9 @@ def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]
 
 
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
-    names, rule = _RULES[prop]
+    names, rule, *guard = _RULES[prop]
     coupled, listed = _admitted(prop, tt.tables.n)
-    hit, checked = _evaluate(tt, names, rule, coupled, listed)
+    hit, checked = _evaluate(tt, names, rule, coupled, listed, *guard)
     admitted = len(listed) * tt.tables.size ** (len(names) - len(coupled))
     cx = None if hit is None else _sets_at(tt.tables, names, hit)
     return CheckReport(prop, hit is None, cx, checked, admitted - checked)
@@ -674,13 +687,15 @@ def violates(
     """
     if prop not in _RULES:
         raise ValueError(f"unknown property: {prop}")
-    names, rule = _RULES[prop]
+    names, rule, *guard = _RULES[prop]
     unknown = sorted(set(sets) - set(names), key=str)
     if unknown:
         raise ValueError(f"{prop.value} quantifies over {list(names)}, not {unknown}")
-    args = (frozenset(sets.get(name, frozenset())) for name in names)
-    side, premise, conclusion = rule(_Replay(oracle), *args)
-    return bool(side and premise and not conclusion)
+    args = [frozenset(sets.get(name, frozenset())) for name in names]
+    x = _Replay(oracle)
+    side, premise, conclusion = rule(x, *args)
+    guarded = all(g(x, *args) for g in guard)
+    return bool(side and premise and guarded and not conclusion)
 
 
 # --- oracle factories --------------------------------------------------------

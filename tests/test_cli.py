@@ -268,6 +268,13 @@ class TestDeriveGraph:
         assert "double quotes or backslashes" in err
         assert not dot_path.exists()
 
+    def test_unwritable_dot_path_errors(self, capsys, tmp_path):
+        dot_path = tmp_path / "no" / "such" / "x.dot"
+        assert_one_line_error(*run(
+            capsys, "derive-graph", str(FIXTURES / "three_cycle_process.json"),
+            "--dot", str(dot_path),
+        ))
+
     def test_invalid_spec_errors(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"components": [{"name": "x", "states": 2}]}))

@@ -304,7 +304,7 @@ class TestVectorizedEngineAgainstSlowPath:
 
         def located(prop, sets):
             """An instance's lattice position and the chunk evaluating it."""
-            names, _ = graphoid._RULES[prop]
+            names = graphoid._RULES[prop][0]
             coupled, listed = graphoid._admitted(prop, n)
             ranks = {v: rank[sets.get(v, frozenset())] for v in names}
             entry = np.ravel_multi_index([ranks[v] for v in coupled], (t.size,) * len(coupled))
@@ -405,7 +405,7 @@ class TestAdmittedTuples:
         assert (np.diff(listed.astype(np.int64)) > 0).all()
         # the side condition on every full rank tuple is the membership
         # of its coupled part in the list: it does not read the free sets
-        names, rule = graphoid._RULES[prop]
+        names, rule = graphoid._RULES[prop][:2]
         oracle = constant_oracle(tuple("abcdefgh"[:n]))
         table = build_truth_table(oracle)
         t = table.tables
@@ -443,12 +443,39 @@ class TestAdmittedTuples:
                     report = check_axiom(oracle, prop, table)
                 else:
                     report = check_derived(oracle, prop, table)
-                names, _ = graphoid._RULES[prop]
+                names = graphoid._RULES[prop][0]
                 free = len(names) - len(coupled)
                 listed = graphoid._admitted(prop, n)[1]
                 assert report.checked + report.skipped == len(listed) * (1 << n) ** free
                 skipped += report.skipped
         assert skipped
+
+
+class TestStagedGuard:
+    @pytest.mark.parametrize("n", [3, 4, MAX_AXIOM_GROUND])
+    def test_staged_guard_matches_folded_premise(self, n):
+        """Asking the guard only where the rule alone is violated finds the
+        same first counterexample and count as evaluating it everywhere."""
+        prop = DerivedProperty.GUARDED_RIGHT_DECOMPOSITION
+        names, rule, guard = graphoid._RULES[prop]
+        coupled, listed = graphoid._admitted(prop, n)
+
+        def folded(x, *sets):
+            side, premise, conclusion = rule(x, *sets)
+            return side, premise & guard(x, *sets), conclusion
+
+        hits = []
+        for oracle in _test_oracles(n):
+            table = build_truth_table(oracle)
+            staged = graphoid._evaluate(table, names, rule, coupled, listed, guard)
+            assert staged == graphoid._evaluate(table, names, folded, coupled, listed)
+            hits.append(staged[0] is not None)
+            if n == 3:
+                report = check_derived(oracle, prop, table)
+                got = (report.holds, report.counterexample, report.checked, report.skipped)
+                assert got == slow_check(oracle, prop)
+        # only the noisy oracle violates it, through the staged path
+        assert hits == [False, False, True]
 
 
 class TestReducibleTableMatchesGenericTable:
