@@ -347,7 +347,9 @@ class _Compiled:
     ``cell[name]`` each state's flat index into that table's
     (dependency configuration, own state) cells.  Every state has the
     same m = sum(card - 1) transitions, so ``dst`` and ``rate`` are
-    ``(n_states, m)`` rows in (component, destination) order."""
+    ``(n_states, m)`` rows in (component, destination) order, and
+    ``exit_rate`` holds each state's total exit rate, the sum of its
+    ``rate`` row."""
 
     def __init__(self, spec: CfmpSpec):
         ensure_valid(spec)
@@ -372,6 +374,7 @@ class _Compiled:
             dst.append(np.arange(n)[:, None] + (targets - own) * stride)
             rate.append(table.reshape(-1, card)[cell[:, None], targets])
         self.dst, self.rate = np.concatenate(dst, axis=1), np.concatenate(rate, axis=1)
+        self.exit_rate = self.rate.sum(axis=1)
 
     @functools.cached_property
     def jump_table(self) -> list[tuple[float, np.ndarray, list[tuple[int, int, int]]]]:
@@ -511,10 +514,7 @@ def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
         return np.eye(n)
     _check_means(lam, (h,), MAX_WINDOW_MEAN, "window")
     kernel = np.eye(n) + q / lam
-    squarings = 0
-    while lam * h > UNIFORMIZATION_MAX_MEAN:
-        h /= 2.0
-        squarings += 1
+    squarings, h = _halved(lam, h)
     # The powers of the identity are K^k from either side; multiplying
     # from the right keeps the dense rounding of P(h) = sum w_k I K^k.
     (out,) = _uniformized(lambda v: v @ kernel, lam, np.eye(n), (h,))
@@ -530,6 +530,16 @@ def _check_means(lam: float, lengths: Sequence[float], bound: float, what: str) 
                 f"{what} length {h:g} times the largest exit rate {lam:g} is above "
                 f"{bound:g}; use a shorter {what}"
             )
+
+
+def _halved(lam: float, h: float) -> tuple[int, float]:
+    """The least d such that lam * h / 2^d is at most
+    UNIFORMIZATION_MAX_MEAN, and h / 2^d."""
+    d = 0
+    while lam * h > UNIFORMIZATION_MAX_MEAN:
+        h /= 2.0
+        d += 1
+    return d, h
 
 
 def _uniformized(
@@ -550,10 +560,7 @@ def _uniformized(
     out: list = [None] * len(hs)
     short = []
     for i, h in enumerate(hs):
-        halvings = 0
-        while lam * h > UNIFORMIZATION_MAX_MEAN:
-            h /= 2.0
-            halvings += 1
+        halvings, h = _halved(lam, h)
         if halvings:
             out[i] = block
             for _ in range(1 << halvings):
@@ -722,8 +729,7 @@ def ci_decay(
     onehot[np.arange(n), states[:, t_idx]] = 1.0
 
     # K v = stay v + sum rate/lam v[dst]
-    exit_rate = comp.rate.sum(axis=1)
-    lam = float(exit_rate.max())
+    lam = float(comp.exit_rate.max())
     _check_means(lam, hs, MAX_WINDOW_MEAN, "window")
     if len(hs) < 2:
         raise ValueError(
@@ -732,7 +738,7 @@ def ci_decay(
         )
     scale = 1.0 / lam if lam > 0.0 else 0.0
     rate = comp.rate * scale
-    stay = (1.0 - exit_rate * scale)[:, None]
+    stay = (1.0 - comp.exit_rate * scale)[:, None]
 
     def step(v):
         return stay * v + np.einsum("nm,nmc->nc", rate, v[comp.dst])
@@ -795,7 +801,7 @@ def simulate_batch(
     comp = spec._compiled
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    _check_means(float(comp.rate.sum(axis=1).max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
+    _check_means(float(comp.exit_rate.max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
     pi = _check_distribution(spec.space, pi)
     return [_sample(spec, pi, horizon, seed + i) for i in range(count)]
 

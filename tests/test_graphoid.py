@@ -304,8 +304,8 @@ class TestVectorizedEngineAgainstSlowPath:
 
         def located(prop, sets):
             """An instance's lattice position and the chunk evaluating it."""
-            names = graphoid._RULES[prop][0]
-            coupled, listed = graphoid._admitted(prop, n)
+            names, side = graphoid._RULES[prop][:2]
+            coupled, listed = graphoid._admitted(names, side, n)
             ranks = {v: rank[sets.get(v, frozenset())] for v in names}
             entry = np.ravel_multi_index([ranks[v] for v in coupled], (t.size,) * len(coupled))
             step = max(1, block_cells // t.size ** (len(names) - len(coupled)))
@@ -393,24 +393,34 @@ def _test_oracles(n):
     )
 
 
+def _refuse(a, b, c):
+    raise AssertionError("a side condition queried the relation")
+
+
+class _RefusingRankSpace(graphoid._RankSpace):
+    def q(self, a, b, c):
+        _refuse(a, b, c)
+
+
 class TestAdmittedTuples:
     @pytest.mark.parametrize("n", range(MAX_AXIOM_GROUND + 1))
     @pytest.mark.parametrize("prop", list(ADMITTED_PER_ELEMENT))
     def test_lists_are_the_side_condition(self, prop, n):
         assert set(ADMITTED_PER_ELEMENT) == set(graphoid._RULES)
-        coupled, listed = graphoid._admitted(prop, n)
-        assert graphoid._admitted(prop, n)[1] is listed
+        names, side = graphoid._RULES[prop][:2]
+        coupled, listed = graphoid._admitted(names, side, n)
+        assert graphoid._admitted(names, side, n)[1] is listed
         want_coupled, per_element = ADMITTED_PER_ELEMENT[prop]
         assert (coupled, len(listed)) == (want_coupled, per_element**n)
         assert (np.diff(listed.astype(np.int64)) > 0).all()
         # the side condition on every full rank tuple is the membership
-        # of its coupled part in the list: it does not read the free sets
-        names, rule = graphoid._RULES[prop][:2]
-        oracle = constant_oracle(tuple("abcdefgh"[:n]))
-        table = build_truth_table(oracle)
+        # of its coupled part in the list: it does not read the free sets.
+        # It is structural: both backends refuse every query.
+        labels = tuple("abcdefgh"[:n])
+        table = build_truth_table(constant_oracle(labels))
         t = table.tables
         if n <= 3:
-            replay = graphoid._Replay(oracle)
+            replay = graphoid._Replay(IrrelevanceOracle(ground=labels, query=_refuse))
             sets = [t.set_of(r) for r in range(t.size)]
             admitted = set(listed.tolist())
             for ranks in itertools.product(range(t.size), repeat=len(names)):
@@ -418,18 +428,17 @@ class TestAdmittedTuples:
                 for name, r in zip(names, ranks):
                     if name in coupled:
                         entry = entry * t.size + r
-                side = rule(replay, *(sets[r] for r in ranks))[0]
-                assert (entry in admitted) == bool(side), ranks
+                assert (entry in admitted) == bool(side(replay, *(sets[r] for r in ranks))), ranks
         else:
             # the whole lattice at once, in the rank-space backend
             axes = dict(zip(names, graphoid._axes(t.size, len(names))))
-            side = rule(graphoid._RankSpace(table), *(graphoid._Ranks(t, a) for a in axes.values()))[0]
+            holds = side(_RefusingRankSpace(table), *(graphoid._Ranks(t, a) for a in axes.values()))
             entry = np.int64(0)
             for name in coupled:
                 entry = entry * t.size + axes[name]
             shape = (t.size,) * len(names)
             assert np.array_equal(
-                np.broadcast_to(np.isin(entry, listed), shape), np.broadcast_to(side, shape)
+                np.broadcast_to(np.isin(entry, listed), shape), np.broadcast_to(holds, shape)
             )
 
     @pytest.mark.parametrize("n", [3, MAX_AXIOM_GROUND])
@@ -443,9 +452,9 @@ class TestAdmittedTuples:
                     report = check_axiom(oracle, prop, table)
                 else:
                     report = check_derived(oracle, prop, table)
-                names = graphoid._RULES[prop][0]
+                names, side = graphoid._RULES[prop][:2]
                 free = len(names) - len(coupled)
-                listed = graphoid._admitted(prop, n)[1]
+                listed = graphoid._admitted(names, side, n)[1]
                 assert report.checked + report.skipped == len(listed) * (1 << n) ** free
                 skipped += report.skipped
         assert skipped
@@ -457,12 +466,12 @@ class TestStagedGuard:
         """Asking the guard only where the rule alone is violated finds the
         same first counterexample and count as evaluating it everywhere."""
         prop = DerivedProperty.GUARDED_RIGHT_DECOMPOSITION
-        names, rule, guard = graphoid._RULES[prop]
-        coupled, listed = graphoid._admitted(prop, n)
+        names, side, rule, guard = graphoid._RULES[prop]
+        coupled, listed = graphoid._admitted(names, side, n)
 
         def folded(x, *sets):
-            side, premise, conclusion = rule(x, *sets)
-            return side, premise & guard(x, *sets), conclusion
+            premise, conclusion = rule(x, *sets)
+            return premise & guard(x, *sets), conclusion
 
         hits = []
         for oracle in _test_oracles(n):
@@ -589,6 +598,18 @@ class TestRightDecompositionWitnesses:
     def test_small_grounds_have_none(self):
         assert find_right_decomposition_counterexample(1) is None
         assert find_right_decomposition_counterexample(2) is None
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_first_witness_is_pinned(self, n):
+        g, sets = find_right_decomposition_counterexample(n)
+        assert g.labels == ("a", "b", "c", "d")[:n]
+        assert sorted(g.edges) == [("a", "b"), ("a", "c")]
+        assert sets == {
+            "A": frozenset("b"),
+            "B": frozenset("ac"),
+            "C": frozenset(),
+            "D": frozenset("c"),
+        }
 
     def test_four_nodes_yield_witness(self):
         found = find_right_decomposition_counterexample(4)
