@@ -38,9 +38,10 @@ queries the relation, ``x.disjoint(*sets)`` tests pairwise
 disjointness and ``x.forall(S, clause)`` requires ``clause(k)`` for
 every singleton ``k`` of ``S``.  A side condition is asked in two
 places only: where the admitted tuples are listed, and in the replay.
-Two backends run the same declarations:
+Three backends run the same declarations:
 
-- rank space (``check_axiom`` / ``check_derived``): every quantified
+- rank space (``check_axiom`` / ``check_derived`` of a rule without a
+  word variable, see below): every quantified
   set is an array of subset ranks, and the lattice is evaluated with
   numpy against a precomputed truth table.  Ranks are ``uint16``
   (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one ``take``
@@ -74,6 +75,24 @@ Two backends run the same declarations:
   ``overlap_reducible`` oracle such as delta-separation only the
   reduced triples (A-(B|C), B, C-B).  When no asked triple is out of
   the oracle's domain the evaluability gather is skipped;
+- packed words (``check_axiom`` / ``check_derived`` of the other
+  rules): a rule without a guard has a word variable W when the side
+  condition does not read W and every query of the rule takes W bare,
+  never inside ``|``, ``&`` or ``-``, and always in the same argument
+  slot; W is the first such variable, traced once per entry with
+  ``_Calls``.  The truth table is packed, on first use per slot, into
+  S-bit words (uint8 up to S = 8, then uint16 and uint32) whose bit r
+  is the triple with rank r in W's slot, so a query is one gather of
+  words at the other two arguments' ranks, over the other variables
+  listed and chunked as in rank space.  A violation is premise AND NOT
+  conclusion word by word (the literal premise ``True`` is every rank,
+  ``==`` is the bitwise biconditional); ``checked`` counts the bits set
+  in the AND of the evaluability words; and the lowest set bit of a
+  violating word is W's least rank there.  W is B for the left forms of
+  redundancy, decomposition, weak union, contraction, intersection and
+  trim, and A for their right forms and for shifted right
+  decomposition.  The other four properties have every set in their
+  side condition or guard and run in rank space;
 - replay (``violates``): the sets are frozensets and ``q`` is the raw
   oracle, which re-checks a reported counterexample independently of
   the truth table and of any listing.  The side condition, the rule and
@@ -87,12 +106,16 @@ the relation, and it must be a named function or a lambda built once,
 since its listing is cached per function.  A premise that is costly to
 ask and rarely true where the rest of the rule is violated can be
 declared as the entry's fourth field, its guard, with the rule's
-signature and one truth value as result.
+signature and one truth value as result.  An entry without a guard
+runs on packed words when one of its variables qualifies as its word
+variable, and in rank space otherwise; record which in
+``WORD_VARIABLE`` in ``tests/test_graphoid.py``, where a test pins it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -289,6 +312,24 @@ class TruthTable:
     values: np.ndarray
     evaluable: np.ndarray
     all_evaluable: bool
+    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _words(self, slot: int, evaluable: bool = False) -> np.ndarray:
+        """``values`` (or ``evaluable``) packed into S-bit words, built on
+        first use: bit r of word i*S + j is the triple with rank r in
+        argument ``slot`` and ranks i, j in the other two, in order.
+        Words are uint8 up to S = 8, whose bits past S are zero, then
+        uint16 and uint32."""
+        key = (slot, evaluable)
+        if key not in self._packed:
+            size = self.tables.size
+            cells = (self.evaluable if evaluable else self.values).reshape((size,) * 3)
+            # packbits is several times faster along a contiguous axis
+            cells = np.ascontiguousarray(np.moveaxis(cells, slot, -1))
+            packed = np.packbits(cells, axis=-1, bitorder="little")
+            dtype = np.dtype(f"u{max(1, size // 8)}")
+            self._packed[key] = packed.view(dtype.newbyteorder("<")).astype(dtype).reshape(-1)
+        return self._packed[key]
 
 
 def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
@@ -432,16 +473,23 @@ class _Ranks:
         return self.t.pair(self.t.subset, self.r, other.r)
 
 
+def _meet(mask, term):
+    """``mask & term``, where a ``mask`` of None is true everywhere.  An
+    AND is seeded from its first array operand: numpy ANDs a scalar into
+    an array several times slower than two arrays."""
+    return term if mask is None else mask & term
+
+
 class _RankSpace:
     """Rule backend over a truth table.  ``q`` returns the table's answers
-    and ANDs the queried cells' evaluability into ``evaluable``."""
+    and ANDs the queried cells' evaluability into ``evaluable``, which is
+    None until the first query of a table with unevaluable triples."""
 
     def __init__(self, tt: TruthTable):
         self.tt = tt
         self.values = tt.values.reshape(-1)
         self.cell_evaluable = None if tt.all_evaluable else tt.evaluable.reshape(-1)
-        # seeded with a numpy bool so masks stay boolean (Python's ~True is -2)
-        self.evaluable = np.True_
+        self.evaluable = None
 
     @staticmethod
     def index(a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
@@ -455,30 +503,71 @@ class _RankSpace:
     def q(self, a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
         idx = self.index(a, b, c)
         if self.cell_evaluable is not None:
-            self.evaluable = self.evaluable & self.cell_evaluable.take(idx)
+            self.evaluable = _meet(self.evaluable, self.cell_evaluable.take(idx))
         return self.values.take(idx)
 
     def disjoint(self, *sets: _Ranks) -> np.ndarray:
         t = self.tt.tables
-        out = np.True_
+        out = None
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
-                out = out & t.pair(t.disjoint, a.r, b.r)
-        return out
+                out = _meet(out, t.pair(t.disjoint, a.r, b.r))
+        return np.True_ if out is None else out
 
     def forall(self, s: _Ranks, clause) -> np.ndarray:
         # clause(k) and its evaluability count only where k is in s
         t = self.tt.tables
         outer = self.evaluable
-        holds = np.True_
+        holds = None
         for bit_index in range(t.n):
             k = _Ranks(t, t.rank_of[1 << bit_index])
             skip = ~(k <= s)
-            self.evaluable = np.True_
-            holds = holds & (clause(k) | skip)
-            outer = outer & (self.evaluable | skip)
+            self.evaluable = None
+            holds = _meet(holds, clause(k) | skip)
+            if self.evaluable is not None:
+                outer = _meet(outer, self.evaluable | skip)
         self.evaluable = outer
-        return holds
+        return np.True_ if holds is None else holds
+
+
+class _Words:
+    """One query's answers as words of bits, bit r for rank r of the word
+    variable.  ``==`` is the bitwise biconditional, as in the trims."""
+
+    __slots__ = ("w",)
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+
+    def __and__(self, other: "_Words") -> "_Words":
+        return _Words(self.w & other.w)
+
+    def __or__(self, other: "_Words") -> "_Words":
+        return _Words(self.w | other.w)
+
+    def __eq__(self, other: "_Words") -> "_Words":
+        return _Words(~(self.w ^ other.w))
+
+
+class _WordSpace:
+    """Rule backend for a rule whose word variable is argument ``slot`` of
+    every query.  ``q`` ignores that argument and gathers the table's
+    words at the other two, and ANDs their evaluability words into
+    ``evaluable`` as ``_RankSpace.q`` does."""
+
+    def __init__(self, tt: TruthTable, slot: int):
+        self.slot = slot
+        self.stride = tt.tables.stride_b
+        self.values = tt._words(slot)
+        self.cell_evaluable = None if tt.all_evaluable else tt._words(slot, evaluable=True)
+        self.evaluable = None
+
+    def q(self, *args: _Ranks) -> _Words:
+        i, j = (a.r for k, a in enumerate(args) if k != self.slot)
+        idx = i * self.stride + j
+        if self.cell_evaluable is not None:
+            self.evaluable = _meet(self.evaluable, self.cell_evaluable.take(idx))
+        return _Words(self.values.take(idx))
 
 
 # Most cells one chunk evaluates.  A 4-set rule on five nodes spans 2^20
@@ -512,6 +601,54 @@ class _Uses(frozenset):
         return self._join(s, clause(_Uses()))
 
 
+def _reads(names: str, side) -> frozenset:
+    """The quantified variables the side condition ``side`` is written in."""
+    reads = side(_Uses(), *map(_Uses, names))
+    return reads if isinstance(reads, frozenset) else frozenset()
+
+
+class _Calls(list):
+    """A rule backend that lists the arguments of every query, as ``_Uses``
+    terms; any other hook is listed as None."""
+
+    def q(self, *args: _Uses) -> _Uses:
+        self.append(args)
+        return _Uses()._join(*args)
+
+    def disjoint(self, *sets: _Uses) -> _Uses:
+        self.append(None)
+        return _Uses()._join(*sets)
+
+    def forall(self, s: _Uses, clause) -> _Uses:
+        self.append(None)
+        return _Uses()._join(s, clause(_Uses()))
+
+
+@lru_cache(maxsize=None)
+def _word_variable(names: str, side, rule, guard=None) -> tuple[str, int] | None:
+    """The word variable of a ``_RULES`` entry and its argument slot, or
+    None.  It is the first variable the side condition does not read
+    that every query of the rule takes bare, in one and the same slot,
+    and no other argument reads; an entry with a guard has none.  Traced
+    once per entry, by running the rule on ``_Calls`` and ``_Uses``."""
+    if guard is not None:
+        return None
+    calls = _Calls()
+    sets = [_Uses(v) for v in names]
+    rule(calls, *sets)
+    if not calls or None in calls:
+        return None
+    reads = _reads(names, side)
+    for v, bare in zip(names, sets):
+        slots = {tuple(k for k, a in enumerate(args) if v in a) for args in calls}
+        if v in reads or len(slots) != 1:
+            continue
+        (slot,) = slots
+        if len(slot) == 1 and all(args[slot[0]] is bare for args in calls):
+            return v, slot[0]
+    return None
+
+
 @lru_cache(maxsize=None)
 def _admitted(names: str, side, n: int) -> tuple[str, np.ndarray]:
     """The coupled variables of the side condition ``side`` over the
@@ -525,8 +662,7 @@ def _admitted(names: str, side, n: int) -> tuple[str, np.ndarray]:
     only on n, since rank r is the same subset of the sorted labels for
     every ground; it is built on first use, in blocks of the first axis,
     with the free variables set to the empty set."""
-    reads = side(_Uses(), *map(_Uses, names))
-    reads = reads if isinstance(reads, frozenset) else frozenset()
+    reads = _reads(names, side)
     coupled = "".join(v for v in names if v == names[0] or v in reads)
     t = _Tables(tuple(str(i) for i in range(n)))
     ones = np.ones(t.size**3, dtype=bool)
@@ -564,6 +700,24 @@ def _position(n: int, names: str, coupled: str, entries, free):
     return pos
 
 
+def _chunks(t: _Tables, names: str, coupled: str, listed: np.ndarray):
+    """The rank tuples over ``names`` whose coupled variables are at a
+    ``listed`` position, the free variables ranging over all ranks, in
+    chunks of at most _BLOCK_CELLS cells: listed entries on the first
+    axis and one axis per free variable.  Yields each chunk's entries,
+    its rank array per variable and its shape."""
+    n, size = t.n, t.size
+    free = [v for v in names if v not in coupled]
+    ranks = dict(zip(free, _axes(size, 1 + len(free))[1:]))
+    step = max(1, _BLOCK_CELLS // size ** len(free))
+    for lo in range(0, len(listed), step):
+        where = listed[lo : lo + step]
+        column = where.reshape((-1,) + (1,) * len(free))
+        for i, v in enumerate(coupled):
+            ranks[v] = ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
+        yield where, ranks, (len(where),) + (size,) * len(free)
+
+
 def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray, guard=None):
     """Evaluate ``rule``, and ``guard`` as one more premise, on every rank
     tuple whose coupled variables are at a ``listed`` position, the free
@@ -573,58 +727,104 @@ def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray
 
     Returns the lattice position of the first violation (None if there
     is none) and the number of tuples whose queries are all evaluable.
-    A chunk holds listed entries on its first axis and one axis per free
-    variable, at most _BLOCK_CELLS cells.  When every query is evaluable
-    the guard is staged: it is asked, on 1-D rank arrays, only at the
-    chunk's cells that violate the rule without it.  Otherwise it runs
-    on the whole chunk, so that its queries count towards ``checked``.
-    Chunk order is not lattice order when a free variable comes before a
-    coupled one, so a chunk's first violation is the least lattice
-    position among its violating cells.  A chunk whose first cell lies
-    past the first violation so far cannot improve on it, and once such
-    a chunk is reached with every query evaluable, the rest cannot
-    either."""
+    The tuples are evaluated a chunk (``_chunks``) at a time.  When
+    every query is evaluable the guard is staged: it is asked, on 1-D
+    rank arrays, only at the chunk's cells that violate the rule without
+    it.  Otherwise it runs on the whole chunk, so that its queries count
+    towards ``checked``.  Chunk order is not lattice order when a free
+    variable comes before a coupled one, so a chunk's first violation is
+    the least lattice position among its violating cells.  A chunk whose
+    first cell lies past the first violation so far cannot improve on
+    it, and once such a chunk is reached with every query evaluable, the
+    rest cannot either."""
     t = tt.tables
     n, size = t.n, t.size
-    free = [v for v in names if v not in coupled]
-    free_axes = dict(zip(free, _axes(size, 1 + len(free))[1:]))
-    cells = size ** len(free)
-    step = max(1, _BLOCK_CELLS // cells)
     end = hit = size ** len(names)  # past every lattice position
-    checked = len(listed) * cells if tt.all_evaluable else 0
-    for lo in range(0, len(listed), step):
-        where = listed[lo : lo + step]
+    checked = len(listed) * size ** (len(names) - len(coupled)) if tt.all_evaluable else 0
+    for where, ranks, shape in _chunks(t, names, coupled, listed):
         late = hit <= _position(n, names, coupled, int(where[0]), 0)
         if late and tt.all_evaluable:
             break
-        column = where.reshape((-1,) + (1,) * len(free))
-        ranks = {
-            v: ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
-            for i, v in enumerate(coupled)
-        }
         x = _RankSpace(tt)
-        sets = [_Ranks(t, ranks[v] if v in ranks else free_axes[v]) for v in names]
+        sets = [_Ranks(t, ranks[v]) for v in names]
         premise, conclusion = rule(x, *sets)
         if guard and not tt.all_evaluable:
             premise = premise & guard(x, *sets)
-        shape = (len(where),) + (size,) * len(free)
         if not tt.all_evaluable:
             checked += int(np.count_nonzero(np.broadcast_to(x.evaluable, shape)))
         if late:
             continue
-        violated = premise & ~conclusion
+        violated = ~conclusion if premise is True else premise & ~conclusion
         if not tt.all_evaluable:
-            # else x.evaluable is the scalar True; numpy ANDs a scalar
-            # into a bool array several times slower than two arrays
             violated = violated & x.evaluable
         cell = np.flatnonzero(np.broadcast_to(violated, shape))
         if not cell.size:
             continue
-        pos = _position(n, names, coupled, where[cell >> (n * len(free))], cell & (cells - 1))
+        free_bits = n * (len(shape) - 1)
+        pos = _position(n, names, coupled, where[cell >> free_bits], cell & ((1 << free_bits) - 1))
         if guard and tt.all_evaluable:
             at = np.unravel_index(pos, (size,) * len(names))
             pos = pos[guard(x, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in at))]
         hit = int(pos.min(initial=hit))
+    return (None if hit == end else hit), checked
+
+
+# set bits of each byte value
+_BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _with_rank(n: int, position, rank, below: int):
+    """Insert an n-bit rank field into lattice position ``position``,
+    above its ``below`` lowest bits."""
+    return (((position >> below) << n | rank) << below) | (position & ((1 << below) - 1))
+
+
+def _evaluate_words(
+    tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray, word: str, slot: int
+):
+    """``_evaluate`` for a rule without a guard whose every query takes the
+    variable ``word`` bare in argument ``slot``: the same result, with
+    ``word`` packed into the bits of one S-bit word per cell of the other
+    variables' chunks, each at most _BLOCK_CELLS words.  The side
+    condition does not read ``word``; when it is the first variable, and
+    coupled only by position, the list is its first S-th repeated for
+    every rank of ``word``.  A query is one gather of words, ``checked``
+    counts the bits set in the AND of its evaluability words, and the
+    least rank of ``word`` in a violating word is its lowest set bit."""
+    t = tt.tables
+    n, size = t.n, t.size
+    if coupled[0] == word:
+        coupled, listed = coupled[1:], listed[: len(listed) >> n]
+    others = names.replace(word, "")
+    below = n * (len(names) - 1 - names.index(word))  # the bits of later variables
+    end = hit = size ** len(names)
+    checked = len(listed) * size ** (len(names) - len(coupled)) if tt.all_evaluable else 0
+    for where, ranks, shape in _chunks(t, others, coupled, listed):
+        late = hit <= _with_rank(n, _position(n, others, coupled, int(where[0]), 0), 0, below)
+        if late and tt.all_evaluable:
+            break
+        x = _WordSpace(tt, slot)
+        premise, conclusion = rule(x, *(None if v == word else _Ranks(t, ranks[v]) for v in names))
+        if not tt.all_evaluable:
+            # each word of x.evaluable stands for as many chunk cells
+            ones = _BIT_COUNT.take(np.ascontiguousarray(x.evaluable).view(np.uint8))
+            checked += int(ones.sum(dtype=np.int64)) * (math.prod(shape) // x.evaluable.size)
+        if late:
+            continue
+        violated = ~conclusion.w if premise is True else premise.w & ~conclusion.w
+        if not tt.all_evaluable:
+            violated = violated & x.evaluable
+        elif premise is True and size < 8:
+            violated = violated & ((1 << size) - 1)  # bits past S are no ranks
+        violated = np.broadcast_to(violated, shape).reshape(-1)
+        cell = np.flatnonzero(violated)
+        if not cell.size:
+            continue
+        bits = violated[cell].astype(np.int64)
+        least = np.frexp(bits & -bits)[1] - 1  # the index of the lowest set bit
+        free_bits = n * (len(shape) - 1)
+        pos = _position(n, others, coupled, where[cell >> free_bits], cell & ((1 << free_bits) - 1))
+        hit = int(_with_rank(n, pos.astype(np.int64), least, below).min(initial=hit))
     return (None if hit == end else hit), checked
 
 
@@ -636,7 +836,11 @@ def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
     names, side, rule, *guard = _RULES[prop]
     coupled, listed = _admitted(names, side, tt.tables.n)
-    hit, checked = _evaluate(tt, names, rule, coupled, listed, *guard)
+    word = _word_variable(names, side, rule, *guard)
+    if word:
+        hit, checked = _evaluate_words(tt, names, rule, coupled, listed, *word)
+    else:
+        hit, checked = _evaluate(tt, names, rule, coupled, listed, *guard)
     admitted = len(listed) * tt.tables.size ** (len(names) - len(coupled))
     cx = None if hit is None else _sets_at(tt.tables, names, hit)
     return CheckReport(prop, hit is None, cx, checked, admitted - checked)

@@ -268,6 +268,34 @@ class TestVectorizedEngineAgainstSlowPath:
         assert (report.holds, report.counterexample) == (holds, first)
         assert (report.checked, report.skipped) == (checked, skipped)
 
+    @pytest.mark.parametrize("kind", ["true", "false", "random", "partial"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_grounds(self, n, kind):
+        # S = 1, 2 and 4 subsets: packed words narrower than their uint8
+        labels = tuple("xy"[:n])
+        subs = subsets_by_size(labels)
+        rng = random.Random(40 + n)
+        answers = {t: rng.random() < 0.5 for t in itertools.product(subs, repeat=3)}
+        outside = {t for t in answers if rng.random() < 0.2} if kind == "partial" else set()
+
+        def query(a, b, c):
+            if (a, b, c) in outside:
+                raise OracleDomainError("out of domain")
+            return answers[(a, b, c)]
+
+        if kind in ("true", "false"):
+            oracle = constant_oracle(labels, kind == "true")
+        else:
+            oracle = IrrelevanceOracle(ground=labels, query=query)
+        table = build_truth_table(oracle)
+        for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty):
+            if isinstance(prop, Axiom):
+                report = check_axiom(oracle, prop, table)
+            else:
+                report = check_derived(oracle, prop, table)
+            got = (report.holds, report.counterexample, report.checked, report.skipped)
+            assert got == slow_check(oracle, prop), prop
+
     # chunks of one listed entry; at 5 nodes chunks of 1,000 cells (one
     # first-axis rank or (A, D) pair, 31 (A, B, D) tuples, 1,000 tuples of
     # all four sets, most with a ragged last chunk) and of 3 * 2^10 cells
@@ -364,6 +392,30 @@ ADMITTED_PER_ELEMENT = {
     DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: ("ABD", 6),
     DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: ("ABCD", 7),
     DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", 11),
+}
+
+
+# the word variable of each property: the first variable its side
+# condition does not read that every query takes bare in one slot; the
+# four without one have every set in their side condition or guard
+WORD_VARIABLE = {
+    Axiom.LEFT_REDUNDANCY: "B",
+    Axiom.RIGHT_REDUNDANCY: "A",
+    Axiom.LEFT_DECOMPOSITION: "B",
+    Axiom.RIGHT_DECOMPOSITION: "A",
+    Axiom.LEFT_WEAK_UNION: "B",
+    Axiom.RIGHT_WEAK_UNION: "A",
+    Axiom.LEFT_CONTRACTION: "B",
+    Axiom.RIGHT_CONTRACTION: "A",
+    Axiom.LEFT_INTERSECTION: "B",
+    Axiom.RIGHT_INTERSECTION: "A",
+    DerivedProperty.LEFT_TRIM: "B",
+    DerivedProperty.RIGHT_TRIM: "A",
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: None,
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: None,
+    DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: "A",
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: None,
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: None,
 }
 
 
@@ -485,6 +537,38 @@ class TestStagedGuard:
                 assert got == slow_check(oracle, prop)
         # only the noisy oracle violates it, through the staged path
         assert hits == [False, False, True]
+
+
+def _left_redundancy_with_c(x, A, B, C):
+    # queries neither C nor anything of it: its evaluability words broadcast
+    return True, x.q(A, B, A)
+
+
+class TestPackedRules:
+    def test_word_variables_are_pinned(self):
+        assert set(WORD_VARIABLE) == set(graphoid._RULES)
+        for prop, entry in graphoid._RULES.items():
+            word = graphoid._word_variable(*entry)
+            assert (word and word[0]) == WORD_VARIABLE[prop], prop
+
+    @pytest.mark.parametrize("n", [3, 4, MAX_AXIOM_GROUND])
+    def test_packed_path_matches_evaluate(self, n):
+        """Every packed rule finds the same first counterexample and count
+        of checked instances over words as ``_evaluate`` over cells."""
+        entries = [graphoid._RULES[prop] for prop, word in WORD_VARIABLE.items() if word]
+        entries.append(("ABC", graphoid._unconditional, _left_redundancy_with_c))
+        assert graphoid._word_variable(*entries[-1]) == ("B", 1)
+        hits = 0
+        for oracle in _test_oracles(n):
+            table = build_truth_table(oracle)
+            for names, side, rule in entries:
+                coupled, listed = graphoid._admitted(names, side, n)
+                packed = graphoid._evaluate_words(
+                    table, names, rule, coupled, listed, *graphoid._word_variable(names, side, rule)
+                )
+                assert packed == graphoid._evaluate(table, names, rule, coupled, listed), rule
+                hits += packed[0] is not None
+        assert hits
 
 
 class TestReducibleTableMatchesGenericTable:
