@@ -36,89 +36,68 @@ rules and guards are written with the set operators ``|``, ``&``, ``-``
 and ``<=`` and three hooks of the backend ``x``: ``x.q(a, b, c)``
 queries the relation, ``x.disjoint(*sets)`` tests pairwise
 disjointness and ``x.forall(S, clause)`` requires ``clause(k)`` for
-every singleton ``k`` of ``S``.  A side condition is asked in two
-places only: where the admitted tuples are listed, and in the replay.
-Three backends run the same declarations:
+every singleton ``k`` of ``S``.  The declarations run in two places:
 
-- rank space (``check_axiom`` / ``check_derived`` of a rule without a
-  word variable, see below): every quantified
-  set is an array of subset ranks, and the lattice is evaluated with
-  numpy against a precomputed truth table.  Ranks are ``uint16``
-  (``RANK_DTYPE``), and each query ``q(a, b, c)`` is one ``take``
-  from the flattened table at ``a*S^2 + b*S + c`` (S = 2^n subsets),
-  which stays below 2^15 at ``MAX_AXIOM_GROUND``; the set operators
-  gather from flat S x S tables the same way.  A rule is evaluated only
-  on the rank tuples its side condition admits.  Its coupled variables
-  are the first one and those the side condition is written in, read
-  off the side condition by running it on ``_Uses``, which traces the
-  variables each term reads; the others are free.  The coupled rank
-  tuples where the side condition holds are listed once per side
-  condition and ground size, on first use: all S ranks of A for
-  ``_unconditional``, 3^n of the 4^n (A, D) pairs for ``D <= A``, 6^n
-  (A, B, D) tuples for ``D <= B``, and 5^n, 7^n or 11^n of the 16^n
-  tuples for the conditions on all four sets.  The evaluator does not
-  ask the side condition again: every listed tuple satisfies it.  It
-  puts listed entries on one axis and each free variable on its own,
-  in chunks of at most 2^15 cells (``_BLOCK_CELLS``), so every
-  intermediate array stays small.
-  The first counterexample is the violating cell with the smallest
-  position in the lattice order, which is not the chunk order when a
-  free variable comes before a coupled one.  When every triple is
-  evaluable the guard is staged: a chunk computes premise and failed
-  conclusion, keeps the cells where both hold and asks the guard on
-  rank arrays of those cells alone.  For guarded
-  right decomposition under delta-separation that is 0.26% of the
-  admitted tuples over all 4-node digraphs.  With unevaluable triples
-  the guard is asked on every cell, as one more premise, so that the
-  count of checked instances covers its queries.  The table asks the
-  oracle each distinct triple once: every triple, or for an
-  ``overlap_reducible`` oracle such as delta-separation only the
-  reduced triples (A-(B|C), B, C-B).  When no asked triple is out of
-  the oracle's domain the evaluability gather is skipped;
-- packed words (``check_axiom`` / ``check_derived`` of the other
-  rules): a rule without a guard has a word variable W when the side
-  condition does not read W and every query of the rule takes W bare,
-  never inside ``|``, ``&`` or ``-``, and always in the same argument
-  slot; W is the first such variable, traced once per entry with
-  ``_Calls``.  The truth table is packed, on first use per slot, into
-  S-bit words (uint8 up to S = 8, then uint16 and uint32) whose bit r
-  is the triple with rank r in W's slot, so a query is one gather of
-  words at the other two arguments' ranks, over the other variables
-  listed and chunked as in rank space.  A violation is premise AND NOT
-  conclusion word by word (the literal premise ``True`` is every rank,
-  ``==`` is the bitwise biconditional); ``checked`` counts the bits set
-  in the AND of the evaluability words; and the lowest set bit of a
-  violating word is W's least rank there.  W is B for the left forms of
-  redundancy, decomposition, weak union, contraction, intersection and
-  trim, and A for their right forms and for shifted right
-  decomposition.  The other four properties have every set in their
-  side condition or guard and run in rank space;
-- replay (``violates``): the sets are frozensets and ``q`` is the raw
-  oracle, which re-checks a reported counterexample independently of
-  the truth table and of any listing.  The side condition, the rule and
-  the guard are each asked, whatever the others return.
+- the packed evaluator (``check_axiom``, ``check_derived`` and
+  ``find_right_decomposition_counterexample``).  Every rule has a word
+  variable W: a set that each of its queries takes bare, never inside
+  ``|``, ``&`` or ``-``, in the same one of the first two argument
+  slots, preferably one the side condition does not read; it is traced
+  once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
+  the oracle each distinct triple once (for an ``overlap_reducible``
+  oracle such as delta-separation only the reduced triples
+  (A-(B|C), B, C-B)) and packs its answers, per slot, into S-bit words
+  (S = 2^n subsets; uint8 up to S = 8, then uint16 and uint32) whose
+  bit r is the triple with rank r in that slot.  A query is then one
+  gather of words at the other two arguments' subset ranks, and one
+  word operation decides S instances.  The coupled variables are the
+  first one but W and the others the side condition reads; the rest
+  but W are free.  The coupled rank tuples are listed once per side
+  condition, W and ground size, on first use, in rank space: each
+  listed tuple stores a side word whose bit r says whether the side
+  condition holds with W at rank r, and tuples whose side word is zero
+  are not listed.  The evaluator puts listed tuples on one axis and
+  each free variable on its own, in chunks of at most 2^15 words
+  (``_BLOCK_CELLS``).  A violation is a bit of premise AND NOT
+  conclusion (the literal premise ``True`` is every rank, ``==`` the
+  bitwise biconditional) that is also set in the side word and, when
+  some triple is out of the oracle's domain, in the evaluability
+  words; the lowest such bit of a word is W's least rank there, and
+  the first counterexample is the least lattice position over the
+  chunks.  ``checked`` counts the admitted bits whose queries are all
+  evaluable.  The guard is asked in rank space (``_RankSpace``): the
+  set bits of the violating words are unpacked into rank tuples, and
+  each query is one ``take`` from the flat truth table at
+  ``a*S^2 + b*S + c``, in ``uint16`` (``RANK_DTYPE``).  When some
+  triple is unevaluable the guard is asked at every admitted bit whose
+  rule queries are evaluable instead, so that ``checked`` covers its
+  queries;
+- the replay (``violates``): the sets are frozensets and ``q`` is the
+  raw oracle, which re-checks a reported counterexample independently
+  of the truth table and of any listing.  The side condition, the rule
+  and the guard are each asked, whatever the others return.
 
 To add a property: add the enum member, add its entry
 ``(names, side, rule)`` to ``_RULES`` (``_unconditional`` as ``side``
 when it has none), and add the matching entry to the independent slow
-checker in ``tests/helpers.py``.  The side condition must not query
-the relation, and it must be a named function or a lambda built once,
-since its listing is cached per function.  A premise that is costly to
-ask and rarely true where the rest of the rule is violated can be
-declared as the entry's fourth field, its guard, with the rule's
-signature and one truth value as result.  An entry without a guard
-runs on packed words when one of its variables qualifies as its word
-variable, and in rank space otherwise; record which in
-``WORD_VARIABLE`` in ``tests/test_graphoid.py``, where a test pins it.
+checker in ``tests/helpers.py``.  Every rule needs one set that all
+its queries take bare in one slot, the first or the second; record it
+in ``WORD_VARIABLE`` in ``tests/test_graphoid.py``, where a test pins
+it.  The side condition must not query the relation, and it must be a
+named function or a lambda built once, since its listing is cached per
+function.  A premise that is costly to ask and rarely true where the
+rest of the rule is violated can be declared as the entry's fourth
+field, its guard, with the rule's signature and one truth value as
+result.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -129,8 +108,7 @@ MAX_AXIOM_GROUND = 5
 MAX_SEARCH_GROUND = 4
 # Subset ranks and flat truth-table indices a*S^2 + b*S + c share this
 # dtype; its range must cover S^3 - 1 for S = 2**MAX_AXIOM_GROUND.  A
-# narrow index keeps the S^4-cell gathers of the checks cheap in time
-# and memory.
+# narrow index keeps the gathers of the checks cheap in time and memory.
 RANK_DTYPE = np.uint16
 
 
@@ -302,34 +280,44 @@ def _tables(ground: tuple[str, ...]) -> _Tables:
     return _Tables(ground)
 
 
+# The argument slots whose answers a truth table packs into words, and
+# so the slots a word variable may take.
+_WORD_SLOTS = (0, 1)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack a bool array along its last axis, of S entries, into a flat
+    array of S-bit words, bit r for entry r: uint8 up to S = 8, whose
+    bits past S are zero, then uint16 and uint32."""
+    dtype = np.dtype(f"u{max(1, bits.shape[-1] // 8)}")
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view(dtype.newbyteorder("<")).astype(dtype).reshape(-1)
+
+
+def _slot_words(cells: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Per slot of _WORD_SLOTS, the S^3 triples ``cells`` packed into
+    words: bit r of word i*S + j is the triple with rank r in that slot
+    and ranks i, j in the other two, in order."""
+    cube = cells.reshape((size,) * 3)
+    # packbits is several times faster along a contiguous axis
+    return tuple(_pack(np.ascontiguousarray(np.moveaxis(cube, s, -1))) for s in _WORD_SLOTS)
+
+
 @dataclass
 class TruthTable:
     """Oracle answers for every subset triple, indexed by subset rank.
 
-    ``all_evaluable`` records that no triple raised OracleDomainError."""
+    ``all_evaluable`` records that no triple raised OracleDomainError.
+    ``words`` holds ``values`` packed by ``_slot_words``, and
+    ``evaluable_words`` holds ``evaluable`` the same way, or None when
+    every triple is evaluable."""
 
     tables: _Tables
     values: np.ndarray
     evaluable: np.ndarray
     all_evaluable: bool
-    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _words(self, slot: int, evaluable: bool = False) -> np.ndarray:
-        """``values`` (or ``evaluable``) packed into S-bit words, built on
-        first use: bit r of word i*S + j is the triple with rank r in
-        argument ``slot`` and ranks i, j in the other two, in order.
-        Words are uint8 up to S = 8, whose bits past S are zero, then
-        uint16 and uint32."""
-        key = (slot, evaluable)
-        if key not in self._packed:
-            size = self.tables.size
-            cells = (self.evaluable if evaluable else self.values).reshape((size,) * 3)
-            # packbits is several times faster along a contiguous axis
-            cells = np.ascontiguousarray(np.moveaxis(cells, slot, -1))
-            packed = np.packbits(cells, axis=-1, bitorder="little")
-            dtype = np.dtype(f"u{max(1, size // 8)}")
-            self._packed[key] = packed.view(dtype.newbyteorder("<")).astype(dtype).reshape(-1)
-        return self._packed[key]
+    words: tuple[np.ndarray, ...]
+    evaluable_words: tuple[np.ndarray, ...] | None
 
 
 def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
@@ -361,7 +349,11 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
             values[flat] = oracle.query(sets[ra], sets[rb], sets[rc])
         except OracleDomainError:
             evaluable[flat] = False
-    return TruthTable(t, values[asked], evaluable[asked], bool(evaluable.all()))
+    all_evaluable = bool(evaluable.all())
+    values, evaluable = values[asked], evaluable[asked]
+    words = _slot_words(values, t.size)
+    evaluable_words = None if all_evaluable else _slot_words(evaluable, t.size)
+    return TruthTable(t, values, evaluable, all_evaluable, words, evaluable_words)
 
 
 def _axes(size: int, k: int):
@@ -388,7 +380,8 @@ def _right_decomposition_guard(x, A, B, C, D):
     )
 
 
-# side conditions; the properties that share one share its listing
+# side conditions; the properties that share one and a word variable
+# share its listing
 def _unconditional(x, *sets):
     return True
 
@@ -448,7 +441,7 @@ _RULES = {
 }
 
 
-# --- rank-space backend -------------------------------------------------------
+# --- backends -----------------------------------------------------------------
 
 
 class _Ranks:
@@ -481,14 +474,16 @@ def _meet(mask, term):
 
 
 class _RankSpace:
-    """Rule backend over a truth table.  ``q`` returns the table's answers
-    and ANDs the queried cells' evaluability into ``evaluable``, which is
-    None until the first query of a table with unevaluable triples."""
+    """Rule backend over rank arrays of the subsets in ``t``.  ``q``
+    returns a truth table's ``values`` and ANDs the queried cells'
+    ``cell_evaluable`` into ``evaluable``, which is None until the first
+    query of a table with unevaluable triples.  A side condition needs
+    neither, since it never queries."""
 
-    def __init__(self, tt: TruthTable):
-        self.tt = tt
-        self.values = tt.values.reshape(-1)
-        self.cell_evaluable = None if tt.all_evaluable else tt.evaluable.reshape(-1)
+    def __init__(self, t: _Tables, values=None, cell_evaluable=None):
+        self.t = t
+        self.values = values
+        self.cell_evaluable = cell_evaluable
         self.evaluable = None
 
     @staticmethod
@@ -507,7 +502,7 @@ class _RankSpace:
         return self.values.take(idx)
 
     def disjoint(self, *sets: _Ranks) -> np.ndarray:
-        t = self.tt.tables
+        t = self.t
         out = None
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
@@ -516,7 +511,7 @@ class _RankSpace:
 
     def forall(self, s: _Ranks, clause) -> np.ndarray:
         # clause(k) and its evaluability count only where k is in s
-        t = self.tt.tables
+        t = self.t
         outer = self.evaluable
         holds = None
         for bit_index in range(t.n):
@@ -558,8 +553,8 @@ class _WordSpace:
     def __init__(self, tt: TruthTable, slot: int):
         self.slot = slot
         self.stride = tt.tables.stride_b
-        self.values = tt._words(slot)
-        self.cell_evaluable = None if tt.all_evaluable else tt._words(slot, evaluable=True)
+        self.values = tt.words[slot]
+        self.cell_evaluable = None if tt.all_evaluable else tt.evaluable_words[slot]
         self.evaluable = None
 
     def q(self, *args: _Ranks) -> _Words:
@@ -570,14 +565,14 @@ class _WordSpace:
         return _Words(self.values.take(idx))
 
 
-# Most cells one chunk evaluates.  A 4-set rule on five nodes spans 2^20
-# cells; evaluated whole, every intermediate array is fresh memory, so
-# each check pays for thousands of page faults and streams megabytes
-# through the caches.  Chunks of this size keep the intermediates small
-# enough for the allocator to reuse in place.  A chunk of listed 4-set
-# tuples holds a rank array per set: chunks of 2^16 cells raised the
-# peak memory of the ``axioms`` benchmark by 1.4 MB over 2^15 and ran no
-# faster.
+# Most words one chunk of a check evaluates, and most cells one block of
+# a listing holds.  Evaluated whole, every intermediate array is fresh
+# memory, so a pass pays for page faults and streams its arrays through
+# the caches; blocks of this size keep them small enough for the
+# allocator to reuse in place.  On five nodes every rule's words fit one
+# chunk (at most 2^15, for a 4-set rule with two free variables), while
+# a listing over three coupled variables and the word variable spans
+# 2^20 cells.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -609,77 +604,104 @@ def _reads(names: str, side) -> frozenset:
 
 class _Calls(list):
     """A rule backend that lists the arguments of every query, as ``_Uses``
-    terms; any other hook is listed as None."""
+    terms.  Any other hook is listed with no arguments, which leaves the
+    rule without a word variable."""
 
     def q(self, *args: _Uses) -> _Uses:
         self.append(args)
         return _Uses()._join(*args)
 
-    def disjoint(self, *sets: _Uses) -> _Uses:
-        self.append(None)
-        return _Uses()._join(*sets)
+    def disjoint(self, *args) -> _Uses:
+        self.append(())
+        return _Uses()
 
-    def forall(self, s: _Uses, clause) -> _Uses:
-        self.append(None)
-        return _Uses()._join(s, clause(_Uses()))
+    forall = disjoint
 
 
 @lru_cache(maxsize=None)
-def _word_variable(names: str, side, rule, guard=None) -> tuple[str, int] | None:
-    """The word variable of a ``_RULES`` entry and its argument slot, or
-    None.  It is the first variable the side condition does not read
-    that every query of the rule takes bare, in one and the same slot,
-    and no other argument reads; an entry with a guard has none.  Traced
-    once per entry, by running the rule on ``_Calls`` and ``_Uses``."""
-    if guard is not None:
-        return None
+def _word_variable(names: str, side, rule) -> tuple[str, int]:
+    """The word variable of a ``_RULES`` entry and its argument slot: a
+    variable that every query of the rule takes bare, never inside
+    ``|``, ``&`` or ``-``, in one and the same slot of _WORD_SLOTS, and
+    that no other argument reads.  It is the first such variable the
+    side condition does not read, or else the first such variable.
+    Traced once per entry, by running the rule on ``_Calls`` and
+    ``_Uses``; a rule without one is a ValueError."""
     calls = _Calls()
     sets = [_Uses(v) for v in names]
     rule(calls, *sets)
-    if not calls or None in calls:
-        return None
-    reads = _reads(names, side)
+    found = []
     for v, bare in zip(names, sets):
         slots = {tuple(k for k, a in enumerate(args) if v in a) for args in calls}
-        if v in reads or len(slots) != 1:
+        if len(slots) != 1:
             continue
         (slot,) = slots
-        if len(slot) == 1 and all(args[slot[0]] is bare for args in calls):
-            return v, slot[0]
-    return None
+        if len(slot) == 1 and slot[0] in _WORD_SLOTS and all(a[slot[0]] is bare for a in calls):
+            found.append((v, slot[0]))
+    if not found:
+        raise ValueError(f"no variable of {names!r} is bare in one slot, 0 or 1, of every query")
+    reads = _reads(names, side)
+    return min(found, key=lambda f: f[0] in reads)
+
+
+# set bits of each byte value
+_BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """The number of bits set in ``words``."""
+    return int(_BIT_COUNT.take(np.ascontiguousarray(words).view(np.uint8)).sum(dtype=np.int64))
+
+
+class _Admitted(NamedTuple):
+    """The rank tuples a side condition admits; see ``_admitted``."""
+
+    word: str
+    coupled: str
+    listed: np.ndarray
+    side: np.ndarray
+    count: int
 
 
 @lru_cache(maxsize=None)
-def _admitted(names: str, side, n: int) -> tuple[str, np.ndarray]:
-    """The coupled variables of the side condition ``side`` over the
-    quantified variables ``names``, and the C-order positions of their
-    rank tuples over n ground elements where it holds, ascending.
+def _admitted(names: str, side, word: str, n: int) -> _Admitted:
+    """The rank tuples over n ground elements of the quantified variables
+    ``names`` where the side condition ``side`` holds, listed for the
+    word variable ``word``.
 
-    The coupled variables are the first one and every one the side
-    condition is written in, in quantifier order.  The side condition
-    ignores the others, the free variables, so a full rank tuple is
-    admitted exactly when its coupled part is listed.  The list depends
-    only on n, since rank r is the same subset of the sorted labels for
-    every ground; it is built on first use, in blocks of the first axis,
-    with the free variables set to the empty set."""
+    The coupled variables are the first variable but ``word`` and every
+    other one the side condition is written in, in quantifier order; the
+    variables but those and ``word`` are free.  ``listed`` holds the
+    C-order positions, ascending, of the coupled rank tuples with a
+    nonzero side word, and ``side`` those side words: bit r is set where
+    the side condition holds with ``word`` at rank r.  The side
+    condition ignores the free variables, so a full rank tuple is
+    admitted exactly when the side word of its coupled part has the bit
+    of its rank of ``word``; ``count`` is the number of admitted full
+    rank tuples.  The list depends only on n, since rank r is the same
+    subset of the sorted labels for every ground; it is built on first
+    use, in blocks of the first coupled axis, with the free variables
+    set to the empty set."""
     reads = _reads(names, side)
-    coupled = "".join(v for v in names if v == names[0] or v in reads)
+    others = names.replace(word, "")
+    coupled = "".join(v for v in others if v == others[0] or v in reads)
     t = _Tables(tuple(str(i) for i in range(n)))
-    ones = np.ones(t.size**3, dtype=bool)
-    x = _RankSpace(TruthTable(t, ones, ones, True))
-    first, *rest = _axes(t.size, len(coupled))
-    cells = t.size ** len(rest)
-    step = max(1, _BLOCK_CELLS // cells)
+    x = _RankSpace(t)
+    first, *rest = _axes(t.size, len(coupled) + 1)  # the word variable last
+    step = max(1, _BLOCK_CELLS // t.size ** len(rest))
     parts = []
     for lo in range(0, t.size, step):
-        ranks = dict(zip(coupled, [first[lo : lo + step]] + rest))
+        ranks = dict(zip(coupled + word, [first[lo : lo + step]] + rest))
         sets = [_Ranks(t, ranks.get(v, RANK_DTYPE(0))) for v in names]
         shape = (min(step, t.size - lo),) + (t.size,) * len(rest)
-        holds = np.broadcast_to(side(x, *sets), shape)
-        parts.append(np.flatnonzero(holds).astype(np.uint32) + np.uint32(lo * cells))
-    listed = np.concatenate(parts)
-    listed.setflags(write=False)
-    return coupled, listed
+        parts.append(_pack(np.broadcast_to(side(x, *sets), shape)))
+    words = np.concatenate(parts)
+    listed = np.flatnonzero(words)
+    words = words[listed]
+    for cached in (listed, words):
+        cached.setflags(write=False)
+    count = _popcount(words) * t.size ** (len(others) - len(coupled))
+    return _Admitted(word, coupled, listed, words, count)
 
 
 def _position(n: int, names: str, coupled: str, entries, free):
@@ -700,131 +722,105 @@ def _position(n: int, names: str, coupled: str, entries, free):
     return pos
 
 
-def _chunks(t: _Tables, names: str, coupled: str, listed: np.ndarray):
-    """The rank tuples over ``names`` whose coupled variables are at a
-    ``listed`` position, the free variables ranging over all ranks, in
-    chunks of at most _BLOCK_CELLS cells: listed entries on the first
-    axis and one axis per free variable.  Yields each chunk's entries,
-    its rank array per variable and its shape."""
-    n, size = t.n, t.size
-    free = [v for v in names if v not in coupled]
-    ranks = dict(zip(free, _axes(size, 1 + len(free))[1:]))
-    step = max(1, _BLOCK_CELLS // size ** len(free))
-    for lo in range(0, len(listed), step):
-        where = listed[lo : lo + step]
-        column = where.reshape((-1,) + (1,) * len(free))
-        for i, v in enumerate(coupled):
-            ranks[v] = ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
-        yield where, ranks, (len(where),) + (size,) * len(free)
-
-
-def _evaluate(tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray, guard=None):
-    """Evaluate ``rule``, and ``guard`` as one more premise, on every rank
-    tuple whose coupled variables are at a ``listed`` position, the free
-    variables ranging over all ranks.  Every listed tuple satisfies the
-    side condition, so a violation is a tuple where the premise holds
-    and the conclusion fails.
-
-    Returns the lattice position of the first violation (None if there
-    is none) and the number of tuples whose queries are all evaluable.
-    The tuples are evaluated a chunk (``_chunks``) at a time.  When
-    every query is evaluable the guard is staged: it is asked, on 1-D
-    rank arrays, only at the chunk's cells that violate the rule without
-    it.  Otherwise it runs on the whole chunk, so that its queries count
-    towards ``checked``.  Chunk order is not lattice order when a free
-    variable comes before a coupled one, so a chunk's first violation is
-    the least lattice position among its violating cells.  A chunk whose
-    first cell lies past the first violation so far cannot improve on
-    it, and once such a chunk is reached with every query evaluable, the
-    rest cannot either."""
-    t = tt.tables
-    n, size = t.n, t.size
-    end = hit = size ** len(names)  # past every lattice position
-    checked = len(listed) * size ** (len(names) - len(coupled)) if tt.all_evaluable else 0
-    for where, ranks, shape in _chunks(t, names, coupled, listed):
-        late = hit <= _position(n, names, coupled, int(where[0]), 0)
-        if late and tt.all_evaluable:
-            break
-        x = _RankSpace(tt)
-        sets = [_Ranks(t, ranks[v]) for v in names]
-        premise, conclusion = rule(x, *sets)
-        if guard and not tt.all_evaluable:
-            premise = premise & guard(x, *sets)
-        if not tt.all_evaluable:
-            checked += int(np.count_nonzero(np.broadcast_to(x.evaluable, shape)))
-        if late:
-            continue
-        violated = ~conclusion if premise is True else premise & ~conclusion
-        if not tt.all_evaluable:
-            violated = violated & x.evaluable
-        cell = np.flatnonzero(np.broadcast_to(violated, shape))
-        if not cell.size:
-            continue
-        free_bits = n * (len(shape) - 1)
-        pos = _position(n, names, coupled, where[cell >> free_bits], cell & ((1 << free_bits) - 1))
-        if guard and tt.all_evaluable:
-            at = np.unravel_index(pos, (size,) * len(names))
-            pos = pos[guard(x, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in at))]
-        hit = int(pos.min(initial=hit))
-    return (None if hit == end else hit), checked
-
-
-# set bits of each byte value
-_BIT_COUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 def _with_rank(n: int, position, rank, below: int):
     """Insert an n-bit rank field into lattice position ``position``,
     above its ``below`` lowest bits."""
     return (((position >> below) << n | rank) << below) | (position & ((1 << below) - 1))
 
 
-def _evaluate_words(
-    tt: TruthTable, names: str, rule, coupled: str, listed: np.ndarray, word: str, slot: int
-):
-    """``_evaluate`` for a rule without a guard whose every query takes the
-    variable ``word`` bare in argument ``slot``: the same result, with
-    ``word`` packed into the bits of one S-bit word per cell of the other
-    variables' chunks, each at most _BLOCK_CELLS words.  The side
-    condition does not read ``word``; when it is the first variable, and
-    coupled only by position, the list is its first S-th repeated for
-    every rank of ``word``.  A query is one gather of words, ``checked``
-    counts the bits set in the AND of its evaluability words, and the
-    least rank of ``word`` in a violating word is its lowest set bit."""
+def _chunks(t: _Tables, names: str, admitted: _Admitted):
+    """The rank tuples over ``names`` whose coupled variables are at a
+    listed position, the free variables ranging over all ranks, in
+    chunks of at most _BLOCK_CELLS cells: listed entries on the first
+    axis and one axis per free variable.  Yields each chunk's entries,
+    their side words, its rank array per variable and its shape."""
+    n, size, coupled = t.n, t.size, admitted.coupled
+    free = [v for v in names if v not in coupled]
+    ranks = dict(zip(free, _axes(size, 1 + len(free))[1:]))
+    step = max(1, _BLOCK_CELLS // size ** len(free))
+    for lo in range(0, len(admitted.listed), step):
+        where = admitted.listed[lo : lo + step]
+        column = where.reshape((-1,) + (1,) * len(free))
+        for i, v in enumerate(coupled):
+            ranks[v] = ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
+        yield where, admitted.side[lo : lo + step], ranks, (len(where),) + (size,) * len(free)
+
+
+def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, guard=None):
+    """Evaluate ``rule``, and ``guard`` as one more premise, on every rank
+    tuple of ``names`` that ``admitted`` lists, with its word variable
+    packed into the bits of one S-bit word per cell of the other
+    variables' chunks (``_chunks``).  Every query of the rule takes the
+    word variable bare in argument ``slot``, so it is one gather of
+    words at the other two arguments' ranks.
+
+    Returns the lattice position of the first violation (None if there
+    is none) and the number of admitted tuples whose queries are all
+    evaluable.  A violation is a bit set in premise AND NOT conclusion,
+    in the evaluability words when some triple is unevaluable, and in
+    the side word, which is ANDed in only on the cells where the rest
+    has a bit set.  The least rank of the word variable in a violating
+    word is its lowest set bit.  The guard is asked in rank space, on
+    the rank tuples of set bits: of the violating words, or, when some
+    triple is unevaluable, of every admitted tuple whose rule queries
+    are evaluable, so that the guard's queries count towards
+    ``checked``.  Chunk order is not lattice order when a free variable
+    comes before a coupled one, so a chunk's first violation is the
+    least lattice position among its violating cells.  A chunk whose
+    first cell lies past the first violation so far cannot improve on
+    it, and once such a chunk is reached with every query evaluable, the
+    rest cannot either."""
     t = tt.tables
     n, size = t.n, t.size
-    if coupled[0] == word:
-        coupled, listed = coupled[1:], listed[: len(listed) >> n]
+    word, coupled = admitted.word, admitted.coupled
     others = names.replace(word, "")
     below = n * (len(names) - 1 - names.index(word))  # the bits of later variables
-    end = hit = size ** len(names)
-    checked = len(listed) * size ** (len(names) - len(coupled)) if tt.all_evaluable else 0
-    for where, ranks, shape in _chunks(t, others, coupled, listed):
+    end = hit = size ** len(names)  # past every lattice position
+    checked = admitted.count if tt.all_evaluable else 0
+    for where, side, ranks, shape in _chunks(t, others, admitted):
         late = hit <= _with_rank(n, _position(n, others, coupled, int(where[0]), 0), 0, below)
         if late and tt.all_evaluable:
             break
         x = _WordSpace(tt, slot)
         premise, conclusion = rule(x, *(None if v == word else _Ranks(t, ranks[v]) for v in names))
-        if not tt.all_evaluable:
-            # each word of x.evaluable stands for as many chunk cells
-            ones = _BIT_COUNT.take(np.ascontiguousarray(x.evaluable).view(np.uint8))
-            checked += int(ones.sum(dtype=np.int64)) * (math.prod(shape) // x.evaluable.size)
-        if late:
-            continue
         violated = ~conclusion.w if premise is True else premise.w & ~conclusion.w
         if not tt.all_evaluable:
             violated = violated & x.evaluable
-        elif premise is True and size < 8:
-            violated = violated & ((1 << size) - 1)  # bits past S are no ranks
-        violated = np.broadcast_to(violated, shape).reshape(-1)
-        cell = np.flatnonzero(violated)
+            evaluable = x.evaluable & side.reshape((-1,) + (1,) * (len(shape) - 1))
+            if not guard:
+                # each word of ``evaluable`` stands for as many chunk cells
+                checked += _popcount(evaluable) * (math.prod(shape) // evaluable.size)
+                if late:
+                    continue
+        # the words whose set bits are violations, or are asked the guard
+        asked = evaluable if guard and not tt.all_evaluable else violated
+        asked = np.broadcast_to(asked, shape).reshape(-1)
+        cell = np.flatnonzero(asked)
         if not cell.size:
             continue
-        bits = violated[cell].astype(np.int64)
-        least = np.frexp(bits & -bits)[1] - 1  # the index of the lowest set bit
         free_bits = n * (len(shape) - 1)
+        bits = asked[cell] & side[cell >> free_bits]
+        keep = np.flatnonzero(bits)
+        if not keep.size:
+            continue
+        cell, bits = cell[keep], bits[keep]
         pos = _position(n, others, coupled, where[cell >> free_bits], cell & ((1 << free_bits) - 1))
-        hit = int(_with_rank(n, pos.astype(np.int64), least, below).min(initial=hit))
+        if not guard:
+            least = np.frexp(bits & -bits)[1] - 1  # the index of the lowest set bit
+            hit = int(_with_rank(n, pos, least, below).min(initial=hit))
+            continue
+        at, rank = np.nonzero((bits[:, None] >> np.arange(size)) & 1)
+        pos = _with_rank(n, pos[at], rank, below)
+        y = _RankSpace(t, tt.values, None if tt.all_evaluable else tt.evaluable)
+        sets = np.unravel_index(pos, (size,) * len(names))
+        holds = guard(y, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in sets))
+        if not tt.all_evaluable:
+            checked += int(np.count_nonzero(y.evaluable))
+            if late:
+                continue
+            flags = np.broadcast_to(violated, shape).reshape(-1)[cell[at]] >> rank
+            holds = holds & y.evaluable & (flags & 1).astype(bool)
+        hit = int(pos[holds].min(initial=hit))
     return (None if hit == end else hit), checked
 
 
@@ -835,15 +831,11 @@ def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]
 
 def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
     names, side, rule, *guard = _RULES[prop]
-    coupled, listed = _admitted(names, side, tt.tables.n)
-    word = _word_variable(names, side, rule, *guard)
-    if word:
-        hit, checked = _evaluate_words(tt, names, rule, coupled, listed, *word)
-    else:
-        hit, checked = _evaluate(tt, names, rule, coupled, listed, *guard)
-    admitted = len(listed) * tt.tables.size ** (len(names) - len(coupled))
+    word, slot = _word_variable(names, side, rule)
+    admitted = _admitted(names, side, word, tt.tables.n)
+    hit, checked = _evaluate(tt, names, rule, admitted, slot, *guard)
     cx = None if hit is None else _sets_at(tt.tables, names, hit)
-    return CheckReport(prop, hit is None, cx, checked, admitted - checked)
+    return CheckReport(prop, hit is None, cx, checked, admitted.count - checked)
 
 
 def _table_for(oracle: IrrelevanceOracle, table: TruthTable | None) -> TruthTable:
@@ -925,8 +917,9 @@ def violates(
     conditions and premises hold but the conclusion fails.  This is the
     self-check for counterexamples carried by CheckReport.  ``sets``
     maps the property's variable names ("A", "B", ...) to sets; a
-    missing name stands for the empty set, and any other key is a
-    ValueError.  An OracleDomainError raised by the oracle propagates.
+    missing name stands for the empty set, and any other key, or a
+    string value, is a ValueError.  An OracleDomainError raised by the
+    oracle propagates.
     """
     if prop not in _RULES:
         raise ValueError(f"unknown property: {prop}")
@@ -934,6 +927,9 @@ def violates(
     unknown = sorted(set(sets) - set(names), key=str)
     if unknown:
         raise ValueError(f"{prop.value} quantifies over {list(names)}, not {unknown}")
+    for name, value in sets.items():
+        if isinstance(value, str):
+            raise ValueError(f"{name} must be a set of labels, not the string {value!r}")
     args = [frozenset(sets.get(name, frozenset())) for name in names]
     x = _Replay(oracle)
     holds = side(x, *args)
@@ -993,8 +989,11 @@ def find_right_decomposition_counterexample(
 
     Overlapping-set violations are excluded here (they already occur on
     two nodes through the query reduction); the full lattice is covered
-    by check_axiom instead.
+    by check_axiom instead.  A ``ground_size`` that is not a
+    non-negative int is a ValueError.
     """
+    if type(ground_size) is not int or ground_size < 0:
+        raise ValueError(f"ground_size must be a non-negative int, not {ground_size!r}")
     if ground_size > MAX_SEARCH_GROUND:
         raise EnumerationGuardError(
             f"refusing graph search over {ground_size} nodes "
@@ -1002,10 +1001,11 @@ def find_right_decomposition_counterexample(
         )
     labels = ("a", "b", "c", "d")[:ground_size]
     names, _, rule = _RULES[Axiom.RIGHT_DECOMPOSITION]
-    coupled, listed = _admitted(names, _disjoint_right_decomposition, ground_size)
+    word, slot = _word_variable(names, _disjoint_right_decomposition, rule)
+    admitted = _admitted(names, _disjoint_right_decomposition, word, ground_size)
     for g in enumerate_digraphs(labels):
         tt = build_truth_table(delta_separation_oracle(g))
-        hit, _ = _evaluate(tt, names, rule, coupled, listed)
+        hit, _ = _evaluate(tt, names, rule, admitted, slot)
         if hit is not None:
             return g, _sets_at(tt.tables, names, hit)
     return None

@@ -1,9 +1,11 @@
-"""Shared test machinery: an independent slow-path property checker and
-random spec/graph generators.
+"""Shared test machinery: an independent slow-path property checker, a
+rank-space reference evaluator, and random spec/graph generators.
 
 The slow checker re-states every property as explicit nested loops over
 subsets with direct oracle queries, deliberately sharing no code with
-the vectorized engine; agreement between the two is itself a test.
+the vectorized engine; agreement between the two is itself a test.  The
+rank-space evaluator runs the engine's own rule declarations one cell
+per instance, without packed words, listings or chunks.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
+from ligraph import graphoid
 from ligraph.cfmp import CfmpSpec, ComponentIntensity, ComponentSpace, RateRow
 from ligraph.graphs import DiGraph
 from ligraph.graphoid import Axiom, DerivedProperty, OracleDomainError
@@ -194,6 +199,28 @@ def slow_check(oracle, prop):
         if first is None and _violated(prop, sets, vals):
             first = dict(sets)
     return first is None, first, checked, skipped
+
+
+def rank_space_evaluate(table, names, side, rule, guard=None):
+    """Evaluate a ``_RULES`` entry on the whole lattice of ``table`` at
+    once, one cell per rank tuple of ``names``: the side condition, the
+    rule and the guard are all asked on every cell.
+
+    Returns the lattice position (C order over ``names``) of the first
+    violation, or None, and the number of cells where the side condition
+    holds and every query is evaluable: what ``graphoid._evaluate``
+    returns for the entry."""
+    t = table.tables
+    x = graphoid._RankSpace(t, table.values, None if table.all_evaluable else table.evaluable)
+    sets = [graphoid._Ranks(t, r) for r in graphoid._axes(t.size, len(names))]
+    premise, conclusion = rule(x, *sets)
+    premise = premise & (guard(x, *sets) if guard else True)
+    shape = (t.size,) * len(names)
+    admitted = np.broadcast_to(side(x, *sets), shape)
+    if x.evaluable is not None:
+        admitted = admitted & x.evaluable
+    cells = np.flatnonzero(admitted & premise & ~conclusion)
+    return (int(cells[0]) if cells.size else None), int(np.count_nonzero(admitted))
 
 
 def random_digraph(labels, rng: random.Random, p: float = 0.35) -> DiGraph:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ from helpers import (
     _violated,
     closure_under,
     random_digraph,
+    rank_space_evaluate,
     slow_check,
 )
 from ligraph import graphoid
@@ -126,6 +129,9 @@ class TestInputValidation:
             violates(oracle, Axiom.RIGHT_REDUNDANCY, lowercase)
         with pytest.raises(ValueError, match="'C'"):
             violates(oracle, Axiom.RIGHT_REDUNDANCY, {"A": frozenset("a"), "C": frozenset()})
+        # a string would be read as the set of its characters
+        with pytest.raises(ValueError, match="not the string 'ab'"):
+            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": "ab"})
 
     def test_violates_reads_missing_keys_as_empty(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
@@ -272,42 +278,24 @@ class TestVectorizedEngineAgainstSlowPath:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_small_grounds(self, n, kind):
         # S = 1, 2 and 4 subsets: packed words narrower than their uint8
-        labels = tuple("xy"[:n])
-        subs = subsets_by_size(labels)
-        rng = random.Random(40 + n)
-        answers = {t: rng.random() < 0.5 for t in itertools.product(subs, repeat=3)}
-        outside = {t for t in answers if rng.random() < 0.2} if kind == "partial" else set()
-
-        def query(a, b, c):
-            if (a, b, c) in outside:
-                raise OracleDomainError("out of domain")
-            return answers[(a, b, c)]
-
-        if kind in ("true", "false"):
-            oracle = constant_oracle(labels, kind == "true")
-        else:
-            oracle = IrrelevanceOracle(ground=labels, query=query)
+        oracle = _small_ground_oracles(n)[kind]
         table = build_truth_table(oracle)
-        for prop in list(GRAPHOID_AXIOMS) + list(DerivedProperty):
-            if isinstance(prop, Axiom):
-                report = check_axiom(oracle, prop, table)
-            else:
-                report = check_derived(oracle, prop, table)
+        for prop in PROPERTIES:
+            report = _report(oracle, prop, table)
             got = (report.holds, report.counterexample, report.checked, report.skipped)
             assert got == slow_check(oracle, prop), prop
 
-    # chunks of one listed entry; at 5 nodes chunks of 1,000 cells (one
-    # first-axis rank or (A, D) pair, 31 (A, B, D) tuples, 1,000 tuples of
-    # all four sets, most with a ragged last chunk) and of 3 * 2^10 cells
-    # (3 ranks of A for a 3-set rule, with a last chunk of 2; 3 (A, D)
-    # pairs, 96 (A, B, D) tuples, 3,072 tuples of all four sets); all
-    # against one chunk per rule.  Left disjoint intersection cannot fail
-    # with A empty, the first 4^5 = 1,024 listed tuples at 5 nodes, so its
-    # counterexamples lie past the first chunk.
+    # chunks of one listed entry; at 5 nodes chunks of 1,000 words (one
+    # listed entry of a rule with two free variables, 31 with one, 1,000
+    # with none, most with a ragged last chunk) and of 3 * 2^7 words (one,
+    # 12 and 384 entries); all against one chunk per rule.  The first
+    # counterexamples of contraction on the noisy oracle lie past the
+    # first listed rank, and that of guarded right decomposition past the
+    # first 384 listed (B, C, D) tuples.
     @pytest.mark.parametrize("n, block_cells", [
         (3, 1),
         (MAX_AXIOM_GROUND, 1000),
-        (MAX_AXIOM_GROUND, 3 << 10),
+        (MAX_AXIOM_GROUND, 3 << 7),
     ])
     def test_blocks_match_whole_lattice(self, monkeypatch, n, block_cells):
         props = list(GRAPHOID_AXIOMS) + list(DerivedProperty)
@@ -333,19 +321,20 @@ class TestVectorizedEngineAgainstSlowPath:
         def located(prop, sets):
             """An instance's lattice position and the chunk evaluating it."""
             names, side = graphoid._RULES[prop][:2]
-            coupled, listed = graphoid._admitted(names, side, n)
+            admitted = graphoid._admitted(names, side, WORD_VARIABLE[prop], n)
+            coupled, free = admitted.coupled, len(names) - 1 - len(admitted.coupled)
             ranks = {v: rank[sets.get(v, frozenset())] for v in names}
             entry = np.ravel_multi_index([ranks[v] for v in coupled], (t.size,) * len(coupled))
-            step = max(1, block_cells // t.size ** (len(names) - len(coupled)))
+            step = max(1, block_cells // t.size**free)
             position = np.ravel_multi_index([ranks[v] for v in names], (t.size,) * len(names))
-            return position, np.searchsorted(listed, entry) // step
+            return position, np.searchsorted(admitted.listed, entry) // step
 
         assert any(located(r.prop, r.counterexample)[1] for r in whole if r.counterexample)
         if n > 3:
             return
-        # with C and B free between A and D, some first D <= A
-        # counterexample lies in a later chunk than a violation with a
-        # larger lattice position: the first violation in chunk order is
+        # with C free between A and D, some first D <= A counterexample
+        # lies in a later chunk than a violation with a larger lattice
+        # position: the first violation in chunk order is
         # not the first counterexample
         overtaken = []
         for (o, _, prop), r in zip(cases, whole):
@@ -361,6 +350,38 @@ class TestVectorizedEngineAgainstSlowPath:
         assert overtaken
 
 
+PROPERTIES = list(GRAPHOID_AXIOMS) + list(DerivedProperty)
+
+
+def _report(oracle, prop, table=None):
+    if isinstance(prop, Axiom):
+        return check_axiom(oracle, prop, table)
+    return check_derived(oracle, prop, table)
+
+
+def _small_ground_oracles(n):
+    """Oracles on n ground elements by kind: constant true and false, a
+    random relation, and the same relation raising for about 20% of the
+    triples."""
+    labels = tuple("xy"[:n])
+    subs = subsets_by_size(labels)
+    rng = random.Random(40 + n)
+    answers = {t: rng.random() < 0.5 for t in itertools.product(subs, repeat=3)}
+    outside = {t for t in answers if rng.random() < 0.2}
+
+    def partial(a, b, c):
+        if (a, b, c) in outside:
+            raise OracleDomainError("out of domain")
+        return answers[(a, b, c)]
+
+    return {
+        "true": constant_oracle(labels, True),
+        "false": constant_oracle(labels, False),
+        "random": IrrelevanceOracle(ground=labels, query=lambda a, b, c: answers[(a, b, c)]),
+        "partial": IrrelevanceOracle(ground=labels, query=partial),
+    }
+
+
 def _replays_violation(oracle, prop, sets):
     try:
         return violates(oracle, prop, sets)
@@ -368,36 +389,9 @@ def _replays_violation(oracle, prop, sets):
         return False
 
 
-# coupled variables of each property, and its admitted coupled rank
-# tuples per ground element: A only (2); D <= A, so the element is in
-# neither, in A alone or in both (3); A free and D <= B (2 * 3); the
-# element lies in none or one of four disjoint sets (5); in A or not, and
-# in none or one of B, C, D, with D apart from A (7); any of the 16 bit
-# patterns but D without B and A & B outside C | D (11)
-ADMITTED_PER_ELEMENT = {
-    Axiom.LEFT_REDUNDANCY: ("A", 2),
-    Axiom.RIGHT_REDUNDANCY: ("A", 2),
-    Axiom.LEFT_DECOMPOSITION: ("AD", 3),
-    Axiom.RIGHT_DECOMPOSITION: ("ABD", 6),
-    Axiom.LEFT_WEAK_UNION: ("AD", 3),
-    Axiom.RIGHT_WEAK_UNION: ("ABD", 6),
-    Axiom.LEFT_CONTRACTION: ("A", 2),
-    Axiom.RIGHT_CONTRACTION: ("A", 2),
-    Axiom.LEFT_INTERSECTION: ("A", 2),
-    Axiom.RIGHT_INTERSECTION: ("A", 2),
-    DerivedProperty.LEFT_TRIM: ("A", 2),
-    DerivedProperty.RIGHT_TRIM: ("A", 2),
-    DerivedProperty.LEFT_DISJOINT_INTERSECTION: ("ABCD", 5),
-    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: ("ABCD", 5),
-    DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: ("ABD", 6),
-    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: ("ABCD", 7),
-    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("ABCD", 11),
-}
-
-
-# the word variable of each property: the first variable its side
-# condition does not read that every query takes bare in one slot; the
-# four without one have every set in their side condition or guard
+# the word variable of each property: the first variable every query
+# takes bare in one slot, preferring one its side condition does not read
+# (left weak union could take A as well)
 WORD_VARIABLE = {
     Axiom.LEFT_REDUNDANCY: "B",
     Axiom.RIGHT_REDUNDANCY: "A",
@@ -411,11 +405,43 @@ WORD_VARIABLE = {
     Axiom.RIGHT_INTERSECTION: "A",
     DerivedProperty.LEFT_TRIM: "B",
     DerivedProperty.RIGHT_TRIM: "A",
-    DerivedProperty.LEFT_DISJOINT_INTERSECTION: None,
-    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: None,
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: "B",
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: "A",
     DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: "A",
-    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: None,
-    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: None,
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: "A",
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: "A",
+}
+
+
+# per property: its coupled variables, the coupled rank tuples listed per
+# ground element, and the full rank tuples admitted per ground element.
+# The coupled variables are the first one but the word variable and those
+# the side condition reads.  Listed per element: the element is in the
+# first coupled set or not (2); D <= A or D <= B, so it is in neither, in
+# the larger alone or in both (3); it lies in none or one of three
+# disjoint sets (4); D <= B, and C either way (6).  Admitted per element:
+# any pattern of the quantified sets (4, 8, 16) or, with D <= A or
+# D <= B, 3 * 4 (12); in none or one of four disjoint sets (5); in A or
+# not, and in none or one of B, C, D, with D apart from A (7); any of the
+# 16 patterns but D without B and A & B outside C | D (11)
+ADMITTED_PER_ELEMENT = {
+    Axiom.LEFT_REDUNDANCY: ("A", 2, 4),
+    Axiom.RIGHT_REDUNDANCY: ("B", 2, 4),
+    Axiom.LEFT_DECOMPOSITION: ("AD", 3, 12),
+    Axiom.RIGHT_DECOMPOSITION: ("BD", 3, 12),
+    Axiom.LEFT_WEAK_UNION: ("AD", 3, 12),
+    Axiom.RIGHT_WEAK_UNION: ("BD", 3, 12),
+    Axiom.LEFT_CONTRACTION: ("A", 2, 16),
+    Axiom.RIGHT_CONTRACTION: ("B", 2, 16),
+    Axiom.LEFT_INTERSECTION: ("A", 2, 8),
+    Axiom.RIGHT_INTERSECTION: ("B", 2, 8),
+    DerivedProperty.LEFT_TRIM: ("A", 2, 8),
+    DerivedProperty.RIGHT_TRIM: ("B", 2, 8),
+    DerivedProperty.LEFT_DISJOINT_INTERSECTION: ("ACD", 4, 5),
+    DerivedProperty.RIGHT_DISJOINT_INTERSECTION: ("BCD", 4, 5),
+    DerivedProperty.SHIFTED_RIGHT_DECOMPOSITION: ("BD", 3, 12),
+    DerivedProperty.OVERLAP_TOLERANT_INTERSECTION: ("BCD", 4, 7),
+    DerivedProperty.GUARDED_RIGHT_DECOMPOSITION: ("BCD", 6, 11),
 }
 
 
@@ -460,37 +486,43 @@ class TestAdmittedTuples:
     def test_lists_are_the_side_condition(self, prop, n):
         assert set(ADMITTED_PER_ELEMENT) == set(graphoid._RULES)
         names, side = graphoid._RULES[prop][:2]
-        coupled, listed = graphoid._admitted(names, side, n)
-        assert graphoid._admitted(names, side, n)[1] is listed
-        want_coupled, per_element = ADMITTED_PER_ELEMENT[prop]
-        assert (coupled, len(listed)) == (want_coupled, per_element**n)
-        assert (np.diff(listed.astype(np.int64)) > 0).all()
-        # the side condition on every full rank tuple is the membership
-        # of its coupled part in the list: it does not read the free sets.
-        # It is structural: both backends refuse every query.
+        word = WORD_VARIABLE[prop]
+        admitted = graphoid._admitted(names, side, word, n)
+        assert graphoid._admitted(names, side, word, n) is admitted
+        coupled, listed_per_element, admitted_per_element = ADMITTED_PER_ELEMENT[prop]
+        assert (admitted.word, admitted.coupled) == (word, coupled)
+        assert len(admitted.listed) == listed_per_element**n
+        assert admitted.count == admitted_per_element**n
+        assert (np.diff(admitted.listed.astype(np.int64)) > 0).all()
+        assert admitted.side.all()
+        # the side condition on every full rank tuple is the bit of its
+        # rank of the word variable in the side word of its coupled part:
+        # it does not read the free sets.  It is structural: both
+        # backends refuse every query.
         labels = tuple("abcdefgh"[:n])
-        table = build_truth_table(constant_oracle(labels))
-        t = table.tables
+        t = graphoid._tables(labels)
+        side_words = np.zeros(t.size ** len(coupled), dtype=np.int64)
+        side_words[admitted.listed] = admitted.side
+
+        def listed(ranks):
+            entry = 0
+            for name in coupled:
+                entry = entry * t.size + ranks[name]
+            return (side_words[entry] >> ranks[word]) & 1 == 1
+
         if n <= 3:
             replay = graphoid._Replay(IrrelevanceOracle(ground=labels, query=_refuse))
             sets = [t.set_of(r) for r in range(t.size)]
-            admitted = set(listed.tolist())
             for ranks in itertools.product(range(t.size), repeat=len(names)):
-                entry = 0
-                for name, r in zip(names, ranks):
-                    if name in coupled:
-                        entry = entry * t.size + r
-                assert (entry in admitted) == bool(side(replay, *(sets[r] for r in ranks))), ranks
+                want = bool(side(replay, *(sets[r] for r in ranks)))
+                assert listed(dict(zip(names, ranks))) == want, ranks
         else:
             # the whole lattice at once, in the rank-space backend
             axes = dict(zip(names, graphoid._axes(t.size, len(names))))
-            holds = side(_RefusingRankSpace(table), *(graphoid._Ranks(t, a) for a in axes.values()))
-            entry = np.int64(0)
-            for name in coupled:
-                entry = entry * t.size + axes[name]
+            holds = side(_RefusingRankSpace(t), *(graphoid._Ranks(t, a) for a in axes.values()))
             shape = (t.size,) * len(names)
             assert np.array_equal(
-                np.broadcast_to(np.isin(entry, listed), shape), np.broadcast_to(holds, shape)
+                np.broadcast_to(listed(axes), shape), np.broadcast_to(holds, shape)
             )
 
     @pytest.mark.parametrize("n", [3, MAX_AXIOM_GROUND])
@@ -499,15 +531,9 @@ class TestAdmittedTuples:
         skipped = 0
         for oracle in (full, partial):
             table = build_truth_table(oracle)
-            for prop, (coupled, _) in ADMITTED_PER_ELEMENT.items():
-                if isinstance(prop, Axiom):
-                    report = check_axiom(oracle, prop, table)
-                else:
-                    report = check_derived(oracle, prop, table)
-                names, side = graphoid._RULES[prop][:2]
-                free = len(names) - len(coupled)
-                listed = graphoid._admitted(names, side, n)[1]
-                assert report.checked + report.skipped == len(listed) * (1 << n) ** free
+            for prop, (_, _, per_element) in ADMITTED_PER_ELEMENT.items():
+                report = _report(oracle, prop, table)
+                assert report.checked + report.skipped == per_element**n
                 skipped += report.skipped
         assert skipped
 
@@ -516,20 +542,15 @@ class TestStagedGuard:
     @pytest.mark.parametrize("n", [3, 4, MAX_AXIOM_GROUND])
     def test_staged_guard_matches_folded_premise(self, n):
         """Asking the guard only where the rule alone is violated finds the
-        same first counterexample and count as evaluating it everywhere."""
+        same first counterexample and count as asking it everywhere."""
         prop = DerivedProperty.GUARDED_RIGHT_DECOMPOSITION
         names, side, rule, guard = graphoid._RULES[prop]
-        coupled, listed = graphoid._admitted(names, side, n)
-
-        def folded(x, *sets):
-            premise, conclusion = rule(x, *sets)
-            return premise & guard(x, *sets), conclusion
-
+        admitted = graphoid._admitted(names, side, "A", n)
         hits = []
         for oracle in _test_oracles(n):
             table = build_truth_table(oracle)
-            staged = graphoid._evaluate(table, names, rule, coupled, listed, guard)
-            assert staged == graphoid._evaluate(table, names, folded, coupled, listed)
+            staged = graphoid._evaluate(table, names, rule, admitted, 0, guard)
+            assert staged == rank_space_evaluate(table, names, side, rule, guard)
             hits.append(staged[0] is not None)
             if n == 3:
                 report = check_derived(oracle, prop, table)
@@ -547,28 +568,82 @@ def _left_redundancy_with_c(x, A, B, C):
 class TestPackedRules:
     def test_word_variables_are_pinned(self):
         assert set(WORD_VARIABLE) == set(graphoid._RULES)
-        for prop, entry in graphoid._RULES.items():
-            word = graphoid._word_variable(*entry)
-            assert (word and word[0]) == WORD_VARIABLE[prop], prop
+        for prop, (names, side, rule, *_) in graphoid._RULES.items():
+            assert graphoid._word_variable(names, side, rule)[0] == WORD_VARIABLE[prop], prop
+
+    @pytest.mark.parametrize("rule", [
+        # A is bare in two slots, and B and C are inside a union too
+        lambda x, A, B, C: (x.q(A, B, C), x.q(B | C, A, C)),
+        # only C is bare in one slot, the third, which is not packed
+        lambda x, A, B, C: (x.q(A | B, B, C), x.q(B, A, C)),
+        # a hook other than q
+        lambda x, A, B, C: (x.disjoint(A, B), x.q(A, B, C)),
+    ])
+    def test_rule_without_word_variable_is_refused(self, rule):
+        with pytest.raises(ValueError, match="no variable of 'ABC'"):
+            graphoid._word_variable("ABC", graphoid._unconditional, rule)
 
     @pytest.mark.parametrize("n", [3, 4, MAX_AXIOM_GROUND])
     def test_packed_path_matches_evaluate(self, n):
-        """Every packed rule finds the same first counterexample and count
-        of checked instances over words as ``_evaluate`` over cells."""
-        entries = [graphoid._RULES[prop] for prop, word in WORD_VARIABLE.items() if word]
+        """Every rule, and the right decomposition search, finds the same
+        first counterexample and count of checked instances over packed
+        words as the rank-space reference over single cells."""
+        entries = list(graphoid._RULES.values())
         entries.append(("ABC", graphoid._unconditional, _left_redundancy_with_c))
         assert graphoid._word_variable(*entries[-1]) == ("B", 1)
+        names, _, rule = graphoid._RULES[Axiom.RIGHT_DECOMPOSITION]
+        entries.append((names, graphoid._disjoint_right_decomposition, rule))
         hits = 0
         for oracle in _test_oracles(n):
             table = build_truth_table(oracle)
-            for names, side, rule in entries:
-                coupled, listed = graphoid._admitted(names, side, n)
-                packed = graphoid._evaluate_words(
-                    table, names, rule, coupled, listed, *graphoid._word_variable(names, side, rule)
-                )
-                assert packed == graphoid._evaluate(table, names, rule, coupled, listed), rule
+            for names, side, rule, *guard in entries:
+                word, slot = graphoid._word_variable(names, side, rule)
+                admitted = graphoid._admitted(names, side, word, n)
+                packed = graphoid._evaluate(table, names, rule, admitted, slot, *guard)
+                assert packed == rank_space_evaluate(table, names, side, rule, *guard), rule
                 hits += packed[0] is not None
         assert hits
+
+
+def _five_node_digraphs():
+    rng = random.Random(4242)
+    return [random_digraph(tuple("abcde"), rng, p=0.4) for _ in range(40)]
+
+
+# the oracles whose reports are pinned, by family
+REPORT_FAMILIES = {
+    "three_node_digraphs": lambda: [
+        delta_separation_oracle(g) for g in enumerate_digraphs(("a", "b", "c"))
+    ],
+    "test_oracles": lambda: [o for n in (3, 4, MAX_AXIOM_GROUND) for o in _test_oracles(n)],
+    "five_node_digraphs": lambda: [delta_separation_oracle(g) for g in _five_node_digraphs()],
+    "small_grounds": lambda: [
+        o for n in (0, 1, 2) for o in _small_ground_oracles(n).values()
+    ],
+}
+
+# SHA-256 of the JSON reports of all 17 properties on each family's
+# oracles, in order
+REPORT_DIGESTS = {
+    "three_node_digraphs": "868ef1f185d6686ecb9a54f3bf95865eaab8e92e78c6c5a362e2af3f63cc178c",
+    "test_oracles": "01ba38f2bca36dd58671f1b6cce371060873054385959066ba1fa1d753e21cf9",
+    "five_node_digraphs": "e83b671403cf08adabeb464ea98bb2f22b4d2ee8af081b7e2fe18c36e2777df7",
+    "small_grounds": "3764e4cbc7ca07bf1a46a74108276a4c7e0494a7afd6a2403a4af33265b1a196",
+}
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("family", list(REPORT_DIGESTS))
+    def test_reports_are_pinned(self, family):
+        """Verdict, first counterexample and the checked and skipped counts
+        of every property stay as they were when the digests were taken."""
+        digest = hashlib.sha256()
+        for oracle in REPORT_FAMILIES[family]():
+            table = build_truth_table(oracle)
+            for prop in PROPERTIES:
+                report = _report(oracle, prop, table).to_json_dict()
+                digest.update(json.dumps(report, sort_keys=True).encode())
+        assert digest.hexdigest() == REPORT_DIGESTS[family]
 
 
 class TestReducibleTableMatchesGenericTable:
@@ -719,6 +794,12 @@ class TestRightDecompositionWitnesses:
     def test_guard(self):
         with pytest.raises(EnumerationGuardError):
             find_right_decomposition_counterexample(5)
+
+    @pytest.mark.parametrize("ground_size", [-1, 2.0, True, "3", None])
+    def test_ground_size_must_be_a_non_negative_int(self, ground_size):
+        # -1 would slice ("a", "b", "c", "d") to three labels
+        with pytest.raises(ValueError, match="non-negative int"):
+            find_right_decomposition_counterexample(ground_size)
 
 
 class TestThreeNodeExhaustiveDerived:
