@@ -405,12 +405,28 @@ def _constant(rates: np.ndarray, axes: tuple[int, ...]) -> bool:
     return bool(np.all(hi - lo <= RATE_CONSTANCY_RTOL * np.maximum(abs(lo), abs(hi))))
 
 
+def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> frozenset[str]:
+    """``names`` as a set of component names.  A bare string, which
+    would be read as its characters, or any other value that is not a
+    collection of names is a ValueError, and an unknown name an
+    UnknownNodeError."""
+    if isinstance(names, str):
+        raise ValueError(f"{what} must be a collection of names, not the string {names!r}")
+    try:
+        names = frozenset(names)
+    except TypeError:
+        raise ValueError(f"{what} must be a collection of names, not {names!r}") from None
+    for name in names:
+        space.index_of(name)
+    return names
+
+
 def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str]) -> bool:
     """True iff the component's rate table is constant in every declared
     dependency outside ``keep`` (i.e. it factors through ``keep``)."""
     rates = spec._compiled.rates
     spec.space.index_of(component)
-    keep = set(keep)
+    keep = _component_set(spec.space, keep, "keep")
     dropped = tuple(
         i for i, d in enumerate(spec.intensities[component].depends_on) if d not in keep
     )
@@ -437,11 +453,9 @@ def set_locally_independent(
     source components' states.  The three sets must be pairwise disjoint
     and jointly cover every component."""
     spec._compiled  # validates the spec, once
-    b = frozenset(sources)
-    a = frozenset(targets)
-    c = frozenset(given)
-    for name in b | a | c:
-        spec.space.index_of(name)
+    b = _component_set(spec.space, sources, "sources")
+    a = _component_set(spec.space, targets, "targets")
+    c = _component_set(spec.space, given, "given")
     names = set(spec.space.names)
     if (b & a) or (b & c) or (a & c) or (b | a | c) != names:
         raise NonCoveringQueryError(
@@ -706,9 +720,7 @@ def ci_decay(
     pi = _check_distribution(space, pi)
     t_idx = space.index_of(target)
     s_idx = space.index_of(source)
-    cond = frozenset(cond)
-    for name in cond:
-        space.index_of(name)
+    cond = _component_set(space, cond, "cond")
     if source == target or source in cond:
         raise ValueError("source must be outside the conditioning set and target")
     hs = tuple(float(h) for h in hs)

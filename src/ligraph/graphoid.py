@@ -56,22 +56,21 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   condition, W and ground size, on first use, in rank space: each
   listed tuple stores a side word whose bit r says whether the side
   condition holds with W at rank r, and tuples whose side word is zero
-  are not listed.  The evaluator puts listed tuples on one axis and
-  each free variable on its own, in chunks of at most 2^15 words
-  (``_BLOCK_CELLS``).  A violation is a bit of premise AND NOT
-  conclusion (the literal premise ``True`` is every rank, ``==`` the
-  bitwise biconditional) that is also set in the side word and, when
-  some triple is out of the oracle's domain, in the evaluability
-  words; the lowest such bit of a word is W's least rank there, and
-  the first counterexample is the least lattice position over the
-  chunks.  ``checked`` counts the admitted bits whose queries are all
-  evaluable.  The guard is asked in rank space (``_RankSpace``): the
-  set bits of the violating words are unpacked into rank tuples, and
-  each query is one ``take`` from the flat truth table at
-  ``a*S^2 + b*S + c``, in ``uint16`` (``RANK_DTYPE``).  When some
-  triple is unevaluable the guard is asked at every admitted bit whose
-  rule queries are evaluable instead, so that ``checked`` covers its
-  queries;
+  are not listed.  The evaluator runs the rule once, on the listed
+  tuples on one axis and each free variable on its own.  A violation
+  is a bit of premise AND NOT conclusion (the literal premise ``True``
+  is every rank, ``==`` the bitwise biconditional) that is also set in
+  the side word and, when some triple is out of the oracle's domain,
+  in the evaluability words; the lowest such bit of a word is W's
+  least rank there, and the first counterexample is the least lattice
+  position over the violating words.  ``checked`` counts the admitted
+  bits whose queries are all evaluable.  The guard is asked in rank
+  space (``_RankSpace``): the set bits of the violating words are
+  unpacked into rank tuples, and each query is one ``take`` from the
+  flat truth table at ``a*S^2 + b*S + c``, in ``uint16``
+  (``RANK_DTYPE``).  When some triple is unevaluable the guard is
+  asked at every admitted bit whose rule queries are evaluable
+  instead, so that ``checked`` covers its queries;
 - the replay (``violates``): the sets are frozensets and ``q`` is the
   raw oracle, which re-checks a reported counterexample independently
   of the truth table and of any listing.  The side condition, the rule
@@ -565,14 +564,12 @@ class _WordSpace:
         return _Words(self.values.take(idx))
 
 
-# Most words one chunk of a check evaluates, and most cells one block of
-# a listing holds.  Evaluated whole, every intermediate array is fresh
-# memory, so a pass pays for page faults and streams its arrays through
-# the caches; blocks of this size keep them small enough for the
-# allocator to reuse in place.  On five nodes every rule's words fit one
-# chunk (at most 2^15, for a 4-set rule with two free variables), while
-# a listing over three coupled variables and the word variable spans
-# 2^20 cells.
+# Most cells one block of a listing (``_admitted``) holds.  A listing
+# over three coupled variables and the word variable spans 2^20 cells on
+# five nodes, and each intermediate array of a pass is fresh memory;
+# listed whole, all 17 rules raise a fresh process's peak RSS from about
+# 31 to 42 MB.  A check needs no blocks: on five nodes its words are at
+# most 2^15, for a 4-set rule with two free variables.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -704,55 +701,23 @@ def _admitted(names: str, side, word: str, n: int) -> _Admitted:
     return _Admitted(word, coupled, listed, words, count)
 
 
-def _position(n: int, names: str, coupled: str, entries, free):
-    """The lattice positions (C order over ``names``) of the rank tuples
-    whose coupled variables sit at C-order positions ``entries`` of
-    their own rank tuples, and whose free variables at ``free``.  Each
-    rank is an n-bit field of a position, the first variable highest."""
-    k, f = len(coupled), len(names) - len(coupled)
-    pos = 0
-    for v in names:
-        if v in coupled:
-            k -= 1
-            field = entries >> (n * k)
-        else:
-            f -= 1
-            field = free >> (n * f)
-        pos = (pos << n) | (field & ((1 << n) - 1))
-    return pos
-
-
-def _with_rank(n: int, position, rank, below: int):
-    """Insert an n-bit rank field into lattice position ``position``,
-    above its ``below`` lowest bits."""
-    return (((position >> below) << n | rank) << below) | (position & ((1 << below) - 1))
-
-
-def _chunks(t: _Tables, names: str, admitted: _Admitted):
-    """The rank tuples over ``names`` whose coupled variables are at a
-    listed position, the free variables ranging over all ranks, in
-    chunks of at most _BLOCK_CELLS cells: listed entries on the first
-    axis and one axis per free variable.  Yields each chunk's entries,
-    their side words, its rank array per variable and its shape."""
-    n, size, coupled = t.n, t.size, admitted.coupled
-    free = [v for v in names if v not in coupled]
-    ranks = dict(zip(free, _axes(size, 1 + len(free))[1:]))
-    step = max(1, _BLOCK_CELLS // size ** len(free))
-    for lo in range(0, len(admitted.listed), step):
-        where = admitted.listed[lo : lo + step]
-        column = where.reshape((-1,) + (1,) * len(free))
-        for i, v in enumerate(coupled):
-            ranks[v] = ((column >> (n * (len(coupled) - 1 - i))) & (size - 1)).astype(RANK_DTYPE)
-        yield where, admitted.side[lo : lo + step], ranks, (len(where),) + (size,) * len(free)
+def _least(ranks, size: int) -> int | None:
+    """The least lattice position (C order) of the rank tuples whose
+    ranks per variable, in quantifier order, are ``ranks``; None if
+    there are none."""
+    if not ranks[0].size:
+        return None
+    return int(np.ravel_multi_index(ranks, (size,) * len(ranks)).min())
 
 
 def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, guard=None):
     """Evaluate ``rule``, and ``guard`` as one more premise, on every rank
-    tuple of ``names`` that ``admitted`` lists, with its word variable
-    packed into the bits of one S-bit word per cell of the other
-    variables' chunks (``_chunks``).  Every query of the rule takes the
-    word variable bare in argument ``slot``, so it is one gather of
-    words at the other two arguments' ranks.
+    tuple of ``names`` that ``admitted`` lists, in one pass: the listed
+    entries on the first axis, each free variable on an axis of its own,
+    and the word variable packed into the bits of one S-bit word per
+    cell.  Every query of the rule takes the word variable bare in
+    argument ``slot``, so it is one gather of words at the other two
+    arguments' ranks.
 
     Returns the lattice position of the first violation (None if there
     is none) and the number of admitted tuples whose queries are all
@@ -764,64 +729,54 @@ def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, 
     the rank tuples of set bits: of the violating words, or, when some
     triple is unevaluable, of every admitted tuple whose rule queries
     are evaluable, so that the guard's queries count towards
-    ``checked``.  Chunk order is not lattice order when a free variable
-    comes before a coupled one, so a chunk's first violation is the
-    least lattice position among its violating cells.  A chunk whose
-    first cell lies past the first violation so far cannot improve on
-    it, and once such a chunk is reached with every query evaluable, the
-    rest cannot either."""
+    ``checked``.  Cell order is not lattice order when a free variable
+    comes before a coupled one, so the first violation is the least
+    lattice position among the violating cells' rank tuples."""
     t = tt.tables
-    n, size = t.n, t.size
+    size = t.size
     word, coupled = admitted.word, admitted.coupled
-    others = names.replace(word, "")
-    below = n * (len(names) - 1 - names.index(word))  # the bits of later variables
-    end = hit = size ** len(names)  # past every lattice position
-    checked = admitted.count if tt.all_evaluable else 0
-    for where, side, ranks, shape in _chunks(t, others, admitted):
-        late = hit <= _with_rank(n, _position(n, others, coupled, int(where[0]), 0), 0, below)
-        if late and tt.all_evaluable:
-            break
-        x = _WordSpace(tt, slot)
-        premise, conclusion = rule(x, *(None if v == word else _Ranks(t, ranks[v]) for v in names))
-        violated = ~conclusion.w if premise is True else premise.w & ~conclusion.w
-        if not tt.all_evaluable:
-            violated = violated & x.evaluable
-            evaluable = x.evaluable & side.reshape((-1,) + (1,) * (len(shape) - 1))
-            if not guard:
-                # each word of ``evaluable`` stands for as many chunk cells
-                checked += _popcount(evaluable) * (math.prod(shape) // evaluable.size)
-                if late:
-                    continue
-        # the words whose set bits are violations, or are asked the guard
-        asked = evaluable if guard and not tt.all_evaluable else violated
-        asked = np.broadcast_to(asked, shape).reshape(-1)
-        cell = np.flatnonzero(asked)
-        if not cell.size:
-            continue
-        free_bits = n * (len(shape) - 1)
-        bits = asked[cell] & side[cell >> free_bits]
-        keep = np.flatnonzero(bits)
-        if not keep.size:
-            continue
-        cell, bits = cell[keep], bits[keep]
-        pos = _position(n, others, coupled, where[cell >> free_bits], cell & ((1 << free_bits) - 1))
-        if not guard:
-            least = np.frexp(bits & -bits)[1] - 1  # the index of the lowest set bit
-            hit = int(_with_rank(n, pos, least, below).min(initial=hit))
-            continue
-        at, rank = np.nonzero((bits[:, None] >> np.arange(size)) & 1)
-        pos = _with_rank(n, pos[at], rank, below)
-        y = _RankSpace(t, tt.values, None if tt.all_evaluable else tt.evaluable)
-        sets = np.unravel_index(pos, (size,) * len(names))
-        holds = guard(y, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in sets))
-        if not tt.all_evaluable:
-            checked += int(np.count_nonzero(y.evaluable))
-            if late:
-                continue
-            flags = np.broadcast_to(violated, shape).reshape(-1)[cell[at]] >> rank
-            holds = holds & y.evaluable & (flags & 1).astype(bool)
-        hit = int(pos[holds].min(initial=hit))
-    return (None if hit == end else hit), checked
+    free = [v for v in names if v not in coupled and v != word]
+    shape = (len(admitted.listed),) + (size,) * len(free)
+    column = (-1,) + (1,) * len(free)
+    entries = dict(zip(coupled, np.unravel_index(admitted.listed, (size,) * len(coupled))))
+    ranks = {v: r.astype(RANK_DTYPE).reshape(column) for v, r in entries.items()}
+    ranks.update(zip(free, _axes(size, len(shape))[1:]))
+    x = _WordSpace(tt, slot)
+    premise, conclusion = rule(x, *(None if v == word else _Ranks(t, ranks[v]) for v in names))
+    violated = ~conclusion.w if premise is True else premise.w & ~conclusion.w
+    checked = admitted.count
+    if not tt.all_evaluable:
+        violated = violated & x.evaluable
+        evaluable = x.evaluable & admitted.side.reshape(column)
+        # each word of ``evaluable`` stands for as many cells; with a
+        # guard, the tuples are counted where the guard is asked
+        checked = 0 if guard else _popcount(evaluable) * (math.prod(shape) // evaluable.size)
+    # the words whose set bits are violations, or are asked the guard
+    asked = evaluable if guard and not tt.all_evaluable else violated
+    asked = np.broadcast_to(asked, shape).reshape(-1)
+    cell = np.flatnonzero(asked)
+    if not cell.size:
+        return None, checked
+    bits = asked[cell] & admitted.side[cell // size ** len(free)]
+    keep = np.flatnonzero(bits)
+    if not keep.size:
+        return None, checked
+    cell, bits = cell[keep], bits[keep]
+    entry, *at = np.unravel_index(cell, shape)
+    ranks = {v: r[entry] for v, r in entries.items()}
+    ranks.update(zip(free, at))
+    if not guard:
+        ranks[word] = np.frexp(bits & -bits)[1] - 1  # the index of the lowest set bit
+        return _least([ranks[v] for v in names], size), checked
+    at, rank = np.nonzero((bits[:, None] >> np.arange(size)) & 1)
+    sets = [rank if v == word else ranks[v][at] for v in names]
+    y = _RankSpace(t, tt.values, None if tt.all_evaluable else tt.evaluable)
+    holds = guard(y, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in sets))
+    if not tt.all_evaluable:
+        checked += int(np.count_nonzero(y.evaluable))
+        flags = np.broadcast_to(violated, shape).reshape(-1)[cell[at]] >> rank
+        holds = holds & y.evaluable & (flags & 1).astype(bool)
+    return _least([r[holds] for r in sets], size), checked
 
 
 def _sets_at(t: _Tables, names: str, position: int) -> dict[str, frozenset[str]]:
@@ -917,9 +872,10 @@ def violates(
     conditions and premises hold but the conclusion fails.  This is the
     self-check for counterexamples carried by CheckReport.  ``sets``
     maps the property's variable names ("A", "B", ...) to sets; a
-    missing name stands for the empty set, and any other key, or a
-    string value, is a ValueError.  An OracleDomainError raised by the
-    oracle propagates.
+    missing name stands for the empty set.  Any other key, a value that
+    is not a collection of labels (a string among them) and a label
+    outside ``oracle.ground`` are each a ValueError.  An
+    OracleDomainError raised by the oracle propagates.
     """
     if prop not in _RULES:
         raise ValueError(f"unknown property: {prop}")
@@ -927,10 +883,19 @@ def violates(
     unknown = sorted(set(sets) - set(names), key=str)
     if unknown:
         raise ValueError(f"{prop.value} quantifies over {list(names)}, not {unknown}")
+    ground = frozenset(oracle.ground)
+    given = {}
     for name, value in sets.items():
         if isinstance(value, str):
             raise ValueError(f"{name} must be a set of labels, not the string {value!r}")
-    args = [frozenset(sets.get(name, frozenset())) for name in names]
+        try:
+            given[name] = frozenset(value)
+        except TypeError:
+            raise ValueError(f"{name} must be a set of labels, not {value!r}") from None
+        outside = sorted(given[name] - ground, key=str)
+        if outside:
+            raise ValueError(f"{name} has labels outside the ground: {outside}")
+    args = [given.get(name, frozenset()) for name in names]
     x = _Replay(oracle)
     holds = side(x, *args)
     premise, conclusion = rule(x, *args)

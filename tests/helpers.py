@@ -5,7 +5,7 @@ The slow checker re-states every property as explicit nested loops over
 subsets with direct oracle queries, deliberately sharing no code with
 the vectorized engine; agreement between the two is itself a test.  The
 rank-space evaluator runs the engine's own rule declarations one cell
-per instance, without packed words, listings or chunks.
+per instance, without packed words or listings.
 """
 
 from __future__ import annotations

@@ -434,6 +434,24 @@ class TestConstancyChecks:
         with pytest.raises(NonCoveringQueryError):
             set_locally_independent(cycle3_spec, ("a",), ("a", "b"), ("c",))
 
+    # a set-valued argument is never reinterpreted: an unknown name is
+    # refused, and so is a bare string, which would be read as its
+    # characters
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda s: component_depends_only_on(s, "a", ["zzz"]), UnknownNodeError, "'zzz'"),
+        (lambda s: component_depends_only_on(s, "a", "bc"), ValueError, "keep .* string 'bc'"),
+        (lambda s: ci_decay(s, uniform_distribution(s.space), "a", "b", cond="c"),
+         ValueError, "cond .* string 'c'"),
+        (lambda s: set_locally_independent(s, "b", ("a",), ("c",)), ValueError, "sources"),
+        (lambda s: set_locally_independent(s, ("b",), "a", ("c",)), ValueError, "targets"),
+        (lambda s: set_locally_independent(s, ("b",), ("a",), "c"), ValueError, "given"),
+        (lambda s: ci_decay(s, uniform_distribution(s.space), "a", "b", cond=None),
+         ValueError, "cond .* not None"),
+    ])
+    def test_set_arguments_not_reinterpreted(self, cycle3_spec, call, error, match):
+        with pytest.raises(error, match=match):
+            call(cycle3_spec)
+
 
 class TestDeriveGraph:
     def test_cycle_wiring(self, cycle3_spec, cycle3):

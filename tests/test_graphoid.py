@@ -132,6 +132,11 @@ class TestInputValidation:
         # a string would be read as the set of its characters
         with pytest.raises(ValueError, match="not the string 'ab'"):
             violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": "ab"})
+        # a label the oracle does not know, and a value that is no set
+        with pytest.raises(ValueError, match="A has labels outside the ground: \\['z'\\]"):
+            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": {"z"}})
+        with pytest.raises(ValueError, match="A must be a set of labels, not 5"):
+            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": 5})
 
     def test_violates_reads_missing_keys_as_empty(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
@@ -284,70 +289,6 @@ class TestVectorizedEngineAgainstSlowPath:
             report = _report(oracle, prop, table)
             got = (report.holds, report.counterexample, report.checked, report.skipped)
             assert got == slow_check(oracle, prop), prop
-
-    # chunks of one listed entry; at 5 nodes chunks of 1,000 words (one
-    # listed entry of a rule with two free variables, 31 with one, 1,000
-    # with none, most with a ragged last chunk) and of 3 * 2^7 words (one,
-    # 12 and 384 entries); all against one chunk per rule.  The first
-    # counterexamples of contraction on the noisy oracle lie past the
-    # first listed rank, and that of guarded right decomposition past the
-    # first 384 listed (B, C, D) tuples.
-    @pytest.mark.parametrize("n, block_cells", [
-        (3, 1),
-        (MAX_AXIOM_GROUND, 1000),
-        (MAX_AXIOM_GROUND, 3 << 7),
-    ])
-    def test_blocks_match_whole_lattice(self, monkeypatch, n, block_cells):
-        props = list(GRAPHOID_AXIOMS) + list(DerivedProperty)
-        cases = [(o, build_truth_table(o), prop) for o in _test_oracles(n) for prop in props]
-
-        def reports():
-            return [
-                check_axiom(o, prop, t) if isinstance(prop, Axiom) else check_derived(o, prop, t)
-                for o, t, prop in cases
-            ]
-
-        monkeypatch.setattr(graphoid, "_BLOCK_CELLS", 1 << 20)
-        whole = reports()
-        monkeypatch.setattr(graphoid, "_BLOCK_CELLS", block_cells)
-        assert reports() == whole
-        # offsets matter: some first counterexample lies past the first
-        # rank, and some past the first chunk of its rule
-        assert any(r.counterexample and r.counterexample["A"] for r in whole)
-        assert any(r.skipped for r in whole)
-        t = cases[0][1].tables
-        rank = {t.set_of(r): r for r in range(t.size)}
-
-        def located(prop, sets):
-            """An instance's lattice position and the chunk evaluating it."""
-            names, side = graphoid._RULES[prop][:2]
-            admitted = graphoid._admitted(names, side, WORD_VARIABLE[prop], n)
-            coupled, free = admitted.coupled, len(names) - 1 - len(admitted.coupled)
-            ranks = {v: rank[sets.get(v, frozenset())] for v in names}
-            entry = np.ravel_multi_index([ranks[v] for v in coupled], (t.size,) * len(coupled))
-            step = max(1, block_cells // t.size**free)
-            position = np.ravel_multi_index([ranks[v] for v in names], (t.size,) * len(names))
-            return position, np.searchsorted(admitted.listed, entry) // step
-
-        assert any(located(r.prop, r.counterexample)[1] for r in whole if r.counterexample)
-        if n > 3:
-            return
-        # with C free between A and D, some first D <= A counterexample
-        # lies in a later chunk than a violation with a larger lattice
-        # position: the first violation in chunk order is
-        # not the first counterexample
-        overtaken = []
-        for (o, _, prop), r in zip(cases, whole):
-            if prop not in (Axiom.LEFT_DECOMPOSITION, Axiom.LEFT_WEAK_UNION):
-                continue
-            if r.counterexample is None:
-                continue
-            first, chunk = located(prop, r.counterexample)
-            for sets in _instances(prop, list(rank)):
-                position, at = located(prop, sets)
-                if at < chunk and position > first and _replays_violation(o, prop, sets):
-                    overtaken.append((prop, sets))
-        assert overtaken
 
 
 PROPERTIES = list(GRAPHOID_AXIOMS) + list(DerivedProperty)
@@ -537,6 +478,28 @@ class TestAdmittedTuples:
                 skipped += report.skipped
         assert skipped
 
+    def test_blocks_do_not_change_the_list(self, monkeypatch):
+        """Listing in blocks of one rank of the first coupled variable, of
+        1,000 cells and whole gives the same lists at five nodes."""
+        entries = [(entry[0], entry[1], WORD_VARIABLE[p]) for p, entry in graphoid._RULES.items()]
+        names, _, rule = graphoid._RULES[Axiom.RIGHT_DECOMPOSITION]
+        search = graphoid._disjoint_right_decomposition
+        entries.append((names, search, graphoid._word_variable(names, search, rule)[0]))
+
+        def lists(block_cells):
+            monkeypatch.setattr(graphoid, "_BLOCK_CELLS", block_cells)
+            graphoid._admitted.cache_clear()
+            out = []
+            for names, side, word in entries:
+                admitted = graphoid._admitted(names, side, word, MAX_AXIOM_GROUND)
+                out.append((admitted.listed.tolist(), admitted.side.tolist(), admitted.count))
+            return out
+
+        try:
+            assert lists(1) == lists(1000) == lists(1 << 20)
+        finally:
+            graphoid._admitted.cache_clear()
+
 
 class TestStagedGuard:
     @pytest.mark.parametrize("n", [3, 4, MAX_AXIOM_GROUND])
@@ -603,6 +566,46 @@ class TestPackedRules:
                 assert packed == rank_space_evaluate(table, names, side, rule, *guard), rule
                 hits += packed[0] is not None
         assert hits
+
+    def test_first_violation_in_cell_order_is_not_the_first(self):
+        """With C a free variable between A and D, some left decomposition
+        or left weak union violation lies in an earlier cell of
+        ``_evaluate``'s pass than the reported first counterexample, yet
+        has a larger lattice position: the first counterexample is the
+        least position over the violating cells, not the first of them."""
+        n = 3
+        t = graphoid._tables(tuple("abcdefgh"[:n]))
+        rank = {t.set_of(r): r for r in range(t.size)}
+
+        def located(prop, sets):
+            """An instance's lattice position and the index of its cell:
+            the listed entry of its coupled ranks, then its free ranks."""
+            names, side = graphoid._RULES[prop][:2]
+            admitted = graphoid._admitted(names, side, WORD_VARIABLE[prop], n)
+            ranks = {v: rank[sets.get(v, frozenset())] for v in names}
+            coupled = [ranks[v] for v in admitted.coupled]
+            free = [ranks[v] for v in names if v not in admitted.coupled + admitted.word]
+            entry = np.ravel_multi_index(coupled, (t.size,) * len(coupled))
+            at = int(np.searchsorted(admitted.listed, entry))
+            shape = (len(admitted.listed),) + (t.size,) * len(free)
+            cell = np.ravel_multi_index([at, *free], shape)
+            position = np.ravel_multi_index(list(ranks.values()), (t.size,) * len(names))
+            return position, cell
+
+        overtaken = []
+        for oracle in _test_oracles(n):
+            table = build_truth_table(oracle)
+            for prop in (Axiom.LEFT_DECOMPOSITION, Axiom.LEFT_WEAK_UNION):
+                report = check_axiom(oracle, prop, table)
+                if report.holds:
+                    continue
+                first, first_cell = located(prop, report.counterexample)
+                for sets in _instances(prop, list(rank)):
+                    position, cell = located(prop, sets)
+                    later = position > first and _replays_violation(oracle, prop, sets)
+                    if cell < first_cell and later:
+                        overtaken.append((prop, sets))
+        assert overtaken
 
 
 def _five_node_digraphs():
