@@ -50,6 +50,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -121,9 +122,6 @@ class ComponentSpace:
             return self.names.index(name)
         except ValueError:
             raise UnknownNodeError(name) from None
-
-    def states(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(*(range(c) for c in self.cards))
 
 
 @dataclass(frozen=True)
@@ -347,9 +345,18 @@ class _Compiled:
     ``cell[name]`` each state's flat index into that table's
     (dependency configuration, own state) cells.  Every state has the
     same m = sum(card - 1) transitions, so ``dst`` and ``rate`` are
-    ``(n_states, m)`` rows in (component, destination) order, and
-    ``exit_rate`` holds each state's total exit rate, the sum of its
-    ``rate`` row."""
+    ``(n_states, m)`` rows in (component, destination) order.
+
+    Each state's total exit rate is kept twice.  ``exit_rate`` is the
+    (pairwise) ``sum`` of its ``rate`` row; the decay reports and the
+    window and horizon bounds read it.  ``sampling``, built on first
+    use, holds the rows simulation draws from: the sequential
+    ``cumsum`` of each ``rate`` row, whose last entry is the total the
+    holding times are drawn at, that cumsum divided by the total, the
+    ``dst`` rows, the component each column moves and the new state of
+    that component.  For a row of 8 or more transitions the two totals
+    can differ in the last bit, and the sampled stream is fixed by the
+    cumsum."""
 
     def __init__(self, spec: CfmpSpec):
         ensure_valid(spec)
@@ -377,23 +384,19 @@ class _Compiled:
         self.exit_rate = self.rate.sum(axis=1)
 
     @functools.cached_property
-    def jump_table(self) -> list[tuple[float, np.ndarray, list[tuple[int, int, int]]]]:
-        """Per product state: total exit rate, cumulative transition
-        weights, and per transition the state index it reaches, the
-        component it moves and that component's new state."""
-        # card - 1 transitions per component, in component order
+    def sampling(self) -> tuple[list, ...]:
+        """Per state its total exit rate, its cumulative ``rate`` row
+        divided by that total, and its ``dst`` row; the component each
+        column moves; per state the moved component's new state in each
+        column.  All are Python lists (``cum`` a list of row views), so a
+        jump indexes no numpy array and calls only ``searchsorted``."""
+        cum = np.cumsum(self.rate, axis=1)
+        total = cum[:, -1:].copy()
+        np.divide(cum, total, out=cum, where=total > 0.0)
+        # card - 1 columns per component, in component order
         moved = np.repeat(np.arange(self.grid.shape[1]), self.grid.max(axis=0))
         new = self.grid[self.dst, moved]
-        out = []
-        for rate, dst, state in zip(self.rate, self.dst, new):
-            live = rate > 0.0
-            # a sequential cumsum in (component, destination) order, with
-            # total as its last entry, keeps the sampled stream fixed
-            cum = np.cumsum(rate[live])
-            total = float(cum[-1]) if len(cum) else 0.0
-            moves = list(zip(dst[live].tolist(), moved[live].tolist(), state[live].tolist()))
-            out.append((total, cum / total if len(cum) else cum, moves))
-        return out
+        return total[:, 0].tolist(), list(cum), self.dst.tolist(), moved.tolist(), new.tolist()
 
 
 # --- constancy checks and graph derivation ------------------------------------
@@ -807,35 +810,41 @@ def simulate(spec: CfmpSpec, pi, horizon: float, seed: int) -> Trajectory:
 def simulate_batch(
     spec: CfmpSpec, pi, horizon: float, seed: int, count: int
 ) -> list[Trajectory]:
-    """Independent trajectories with per-trajectory seeds seed + index."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    """Independent trajectories with per-trajectory seeds seed + index.
+    ``seed`` and ``count`` must be integers >= 0 and ``horizon`` a
+    positive finite real number; a bool is neither."""
+    _check_natural(seed, "seed")
+    _check_natural(count, "count")
     comp = spec._compiled
-    if not (0 < horizon < math.inf):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
+    if not (real and 0 < horizon < math.inf):
+        raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
     _check_means(float(comp.exit_rate.max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
     pi = _check_distribution(spec.space, pi)
     return [_sample(spec, pi, horizon, seed + i) for i in range(count)]
 
 
+def _check_natural(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 def _sample(spec: CfmpSpec, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:
     rng = np.random.default_rng(seed)
-    jump_table = spec._compiled.jump_table
-    idx = int(rng.choice(len(jump_table), p=pi))
+    total, cum, dst, moved, new = spec._compiled.sampling
+    idx = int(rng.choice(len(total), p=pi))
     initial = tuple(spec._compiled.grid[idx].tolist())
     jumps = []
     t = 0.0
-    while True:
-        total, cum, moves = jump_table[idx]
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
+    while total[idx] > 0.0:
+        t += rng.exponential(1.0 / total[idx])
         if t > horizon:
             break
-        # cum[-1] can sit a few ulps under 1, so clamp the draw's index
-        pick = min(int(np.searchsorted(cum, rng.random(), side="right")), len(moves) - 1)
-        idx, moved, new = moves[pick]
-        jumps.append((t, moved, new))
+        # a zero-rate column repeats the cumulative value before it, so
+        # side="right" never picks one, and cum[idx][-1] is exactly 1.0
+        pick = cum[idx].searchsorted(rng.random(), side="right")
+        jumps.append((t, moved[pick], new[idx][pick]))
+        idx = dst[idx][pick]
     return Trajectory(spec.space, initial, tuple(jumps), float(horizon))
 
 

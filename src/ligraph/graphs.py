@@ -68,10 +68,14 @@ class _Graph:
     _dot_keyword: str
 
     def _read_edges(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
-        """Set the sorted labels and their index.  Check that each edge's
-        endpoints exist and differ, and read it as directed: give the edge
-        set and each node's out- and in-neighbour masks."""
-        self.labels = labels = tuple(sorted({_check_label(n) for n in nodes}))
+        """Set the sorted labels and their index; a repeated label is a
+        GraphError.  Check that each edge's endpoints exist and differ,
+        and read it as directed: give the edge set and each node's out-
+        and in-neighbour masks."""
+        nodes = [_check_label(n) for n in nodes]
+        self.labels = labels = tuple(sorted(set(nodes)))
+        if len(labels) != len(nodes):
+            raise GraphError(f"repeated node labels: {nodes!r}")
         self._index = index = {name: i for i, name in enumerate(labels)}
         out = [0] * len(labels)
         into = [0] * len(labels)
@@ -139,11 +143,10 @@ class DiGraph(_Graph):
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> "DiGraph":
         edges = list(edges)
-        names = set(nodes)
-        for j, k in edges:
-            names.add(j)
-            names.add(k)
-        return cls(names, edges)
+        names = list(nodes)
+        known = set(names)
+        endpoints = dict.fromkeys(v for j, k in edges for v in (j, k) if v not in known)
+        return cls(names + list(endpoints), edges)
 
     def ancestral_mask(self, mask: int) -> int:
         acc = mask
@@ -211,8 +214,6 @@ class DiGraph(_Graph):
         nodes, edges = data["nodes"], data["edges"]
         if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
             raise GraphError(f"graph JSON 'nodes' must be an array of strings: {nodes!r}")
-        if len(set(nodes)) != len(nodes):
-            raise GraphError(f"graph JSON 'nodes' has repeated labels: {nodes!r}")
         if not isinstance(edges, list):
             raise GraphError(f"graph JSON 'edges' must be an array: {edges!r}")
         for e in edges:

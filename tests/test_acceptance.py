@@ -193,7 +193,7 @@ def test_criterion_5_generator_structure():
     for _ in range(100):
         spec = random_spec(rng)
         gen = build_generator(spec)
-        states = list(spec.space.states())
+        states = list(np.ndindex(spec.space.cards))
         worst_row_sum = max(worst_row_sum, float(np.abs(gen.matrix.sum(axis=1)).max()))
         for i, yi in enumerate(states):
             for j, yj in enumerate(states):

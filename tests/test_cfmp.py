@@ -71,6 +71,39 @@ def binary_pair(rate_x=(1.0, 1.0), rate_y=(1.0, 1.0), y_deps=()):
     )
 
 
+def dead_transitions_process():
+    """a (3 states) listens to b (2), b to c (3), c to a.  Some rows have
+    zero rates in the first, a middle and the last (component,
+    destination) column, and (0, 0, 0) is absorbing.  The transitions
+    into it are slow, so one of the two pinned paths is absorbed part-way."""
+    names, cards = ("a", "b", "c"), (3, 2, 3)
+    deps = {"a": "b", "b": "c", "c": "a"}
+    # (component, given, source, target)
+    dead = {("a", 0, 0, 1), ("a", 0, 0, 2), ("a", 1, 1, 0), ("b", 0, 0, 1), ("b", 2, 1, 0),
+            ("c", 0, 0, 1), ("c", 0, 0, 2), ("c", 2, 1, 2), ("c", 1, 2, 1)}
+    slow = {("a", 0, 1, 0), ("a", 0, 2, 0), ("b", 0, 1, 0), ("c", 0, 1, 0), ("c", 0, 2, 0)}
+
+    def rate(cell):
+        _, g, s, t = cell
+        if cell in dead:
+            return 0.0
+        if cell in slow:
+            return 0.14
+        return 0.3 + 0.25 * ((3 * g + 2 * s + t) % 5)
+
+    intensities = {
+        name: ComponentIntensity((deps[name],), tuple(
+            RateRow((g,), s, t, rate((name, g, s, t)))
+            for g in range(cards[names.index(deps[name])])
+            for s in range(card)
+            for t in range(card)
+            if s != t
+        ))
+        for name, card in zip(names, cards)
+    }
+    return CfmpSpec(ComponentSpace(names, cards), intensities)
+
+
 def scaled_rates(spec, factor):
     return CfmpSpec(
         spec.space,
@@ -110,7 +143,7 @@ def dense_decay_cmis(spec, pi, target, source, cond, hs):
     the one-hot target block, then the same joint table and _cmi."""
     space = spec.space
     q = build_generator(spec).matrix
-    states = np.array(list(space.states()))
+    states = np.array(list(np.ndindex(space.cards)))
     t, s = space.index_of(target), space.index_of(source)
     w = sorted({space.index_of(c) for c in cond} | {t})
     w_cards = [space.cards[i] for i in w]
@@ -252,6 +285,8 @@ class TestCompiledOnce:
              "6a75a18e6d61428b944326b8721d4288dde6a9e5d87ed3d42a45e28d8a4c5bf3", 110),
             (home_visits_process,
              "8175986e2b6ffcc00a6f4214f0ff776bb5c4481efb289dccdf1a41e6f863875e", 122),
+            (dead_transitions_process,
+             "1facd5be724a6eba82a91117812751895ee36f8bf691c2299d598f11dce93ee1", 63),
         ],
     )
     def test_trajectory_stream_pinned(self, make, digest, jumps):
@@ -296,7 +331,7 @@ class TestGenerator:
     def test_two_component_changes_are_exactly_zero(self, cycle3_spec, visits_spec):
         for spec in (cycle3_spec, visits_spec):
             gen = build_generator(spec)
-            states = list(spec.space.states())
+            states = list(np.ndindex(spec.space.cards))
             for i, yi in enumerate(states):
                 for j, yj in enumerate(states):
                     if i != j and sum(a != b for a, b in zip(yi, yj)) >= 2:
@@ -717,6 +752,22 @@ class TestSimulate:
         pi = uniform_distribution(cycle3_spec.space)
         with pytest.raises(ValueError, match="count"):
             simulate_batch(cycle3_spec, pi, 10.0, seed=1, count=count)
+
+    @pytest.mark.parametrize(
+        "seed, horizon, what",
+        [(-1, 10.0, "seed"), (1.5, 10.0, "seed"), ("3", 10.0, "seed"), (True, 10.0, "seed"),
+         (1, "5", "horizon"), (1, True, "horizon")],
+    )
+    def test_batch_rejects_bad_seed_or_horizon(self, cycle3_spec, seed, horizon, what):
+        pi = uniform_distribution(cycle3_spec.space)
+        for count in (0, 1):
+            with pytest.raises(ValueError, match=what):
+                simulate_batch(cycle3_spec, pi, horizon, seed=seed, count=count)
+
+    def test_batch_takes_numpy_scalars(self, cycle3_spec):
+        pi = uniform_distribution(cycle3_spec.space)
+        want = simulate_batch(cycle3_spec, pi, 10.0, seed=4, count=2)
+        assert simulate_batch(cycle3_spec, pi, np.float64(10.0), np.int64(4), np.int64(2)) == want
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_rejects_horizon_with_too_many_jumps(self, cycle3_spec, count):

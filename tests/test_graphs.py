@@ -273,8 +273,15 @@ class TestSerialization:
     def test_json_rejects_repeated_labels(self):
         with pytest.raises(GraphError, match="repeated"):
             DiGraph.from_json_dict({"nodes": ["a", "a", "b"], "edges": []})
-        # the constructor still merges repeated labels by design
-        assert DiGraph(["a", "a", "b"]).labels == ("a", "b")
+        # the constructors reject them too
+        with pytest.raises(GraphError, match="repeated"):
+            DiGraph(["a", "a", "b"])
+        with pytest.raises(GraphError, match="repeated"):
+            UGraph(["x", "x"])
+        with pytest.raises(GraphError, match="repeated"):
+            DiGraph.from_edges([("a", "b")], ["a", "a"])
+        # an edge endpoint also listed in nodes is not a repeat
+        assert DiGraph.from_edges([("a", "b"), ("b", "c")], ["b", "d"]).labels == tuple("abcd")
 
     def test_json_rejects_repeated_edges(self):
         with pytest.raises(GraphError, match="repeated edges"):
