@@ -203,6 +203,11 @@ def _array(values, kinds: str, what: str) -> np.ndarray:
     return out.astype(float if "f" in kinds else int)
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_path(space: ComponentSpace, initial, jumps, horizon):
     """The one check of a trajectory: a positive finite horizon, jump
     times strictly increasing within (0, horizon], integer components
@@ -210,8 +215,8 @@ def _check_path(space: ComponentSpace, initial, jumps, horizon):
     Returns the initial state as a tuple of ints, the horizon as a float,
     and each segment's product state index and dwell time and each
     jump's component as arrays."""
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"trajectory horizon must be positive and finite, got {horizon!r}")
+    if not (_real(horizon) and 0 < horizon < math.inf):
+        raise ValueError(f"trajectory horizon must be a positive finite number, got {horizon!r}")
     if not 0 < space.n_states <= MAX_PRODUCT_STATES:
         raise ValueError(f"a trajectory's space must have 1 to {MAX_PRODUCT_STATES} states")
     cards, init = np.array(space.cards), _array(initial, "iu", "initial states")
@@ -518,9 +523,10 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
     largest exit rate lam is above UNIFORMIZATION_MAX_MEAN runs the
     series once at h / 2^d, for the least d that brings lam h / 2^d
     within it, and squares the result d times; one with lam h above
-    MAX_WINDOW_MEAN is a ValueError."""
-    if not (0 <= h < math.inf):
-        raise ValueError(f"window length must be nonnegative and finite, got {h}")
+    MAX_WINDOW_MEAN is a ValueError, as is an h that is not a real
+    number (a bool is not one)."""
+    if not (_real(h) and 0 <= h < math.inf):
+        raise ValueError(f"window length must be a nonnegative finite number, got {h!r}")
     return _expm_uniformized(np.asarray(gen.matrix, dtype=float), float(h))
 
 
@@ -708,10 +714,11 @@ def ci_decay(
     nats for each window length h, starting the process from ``pi``.
 
     The conditioning set always includes the target's own time-zero
-    state.  The source must not be in it.  Each window's length times
-    the largest exit rate must be at most MAX_WINDOW_MEAN, and the
-    ladder needs at least two windows: the class is a slope between
-    them.
+    state.  The source must not be in it.  ``hs`` is a sequence of real
+    numbers (a bool is not one), finite, at least MIN_H and strictly
+    decreasing.  Each window's length times the largest exit rate must
+    be at most MAX_WINDOW_MEAN, and the ladder needs at least two
+    windows: the class is a slope between them.
 
     P(target at h | state at 0) is computed for every h at once by
     uniformization applied to the n x card_t block of target indicators
@@ -726,11 +733,14 @@ def ci_decay(
     cond = _component_set(space, cond, "cond")
     if source == target or source in cond:
         raise ValueError("source must be outside the conditioning set and target")
-    hs = tuple(float(h) for h in hs)
-    if any(not (MIN_H <= h < math.inf) for h in hs) or any(
+    if isinstance(hs, (str, bytes)) or not isinstance(hs, Iterable):
+        raise ValueError(f"window lengths must be a sequence of real numbers, got {hs!r}")
+    hs = tuple(hs)
+    if not all(map(_real, hs)) or any(not (MIN_H <= h < math.inf) for h in hs) or any(
         hs[i] <= hs[i + 1] for i in range(len(hs) - 1)
     ):
-        raise ValueError(f"window lengths must be finite, strictly decreasing and >= {MIN_H}")
+        raise ValueError(f"window lengths must be real, finite, strictly decreasing and >= {MIN_H}")
+    hs = tuple(map(float, hs))
 
     w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
     states = comp.grid
@@ -816,8 +826,7 @@ def simulate_batch(
     _check_natural(seed, "seed")
     _check_natural(count, "count")
     comp = spec._compiled
-    real = isinstance(horizon, numbers.Real) and not isinstance(horizon, bool)
-    if not (real and 0 < horizon < math.inf):
+    if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
     _check_means(float(comp.exit_rate.max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
     pi = _check_distribution(spec.space, pi)

@@ -45,32 +45,35 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   slots, preferably one the side condition does not read; it is traced
   once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
   the oracle each distinct triple once (for an ``overlap_reducible``
-  oracle such as delta-separation only the reduced triples
-  (A-(B|C), B, C-B)) and packs its answers, per slot, into S-bit words
-  (S = 2^n subsets; uint8 up to S = 8, then uint16 and uint32) whose
-  bit r is the triple with rank r in that slot.  A query is then one
-  gather of words at the other two arguments' subset ranks, and one
-  word operation decides S instances.  The coupled variables are the
-  first one but W and the others the side condition reads; the rest
-  but W are free.  The coupled rank tuples are listed once per side
-  condition, W and ground size, on first use, in rank space: each
-  listed tuple stores a side word whose bit r says whether the side
-  condition holds with W at rank r, and tuples whose side word is zero
-  are not listed.  The evaluator runs the rule once, on the listed
-  tuples on one axis and each free variable on its own.  A violation
-  is a bit of premise AND NOT conclusion (the literal premise ``True``
-  is every rank, ``==`` the bitwise biconditional) that is also set in
-  the side word and, when some triple is out of the oracle's domain,
-  in the evaluability words; the lowest such bit of a word is W's
-  least rank there, and the first counterexample is the least lattice
-  position over the violating words.  ``checked`` counts the admitted
-  bits whose queries are all evaluable.  The guard is asked in rank
-  space (``_RankSpace``): the set bits of the violating words are
-  unpacked into rank tuples, and each query is one ``take`` from the
-  flat truth table at ``a*S^2 + b*S + c``, in ``uint16``
-  (``RANK_DTYPE``).  When some triple is unevaluable the guard is
-  asked at every admitted bit whose rule queries are evaluable
-  instead, so that ``checked`` covers its queries;
+  oracle such as delta-separation only the reduced triples (A-(B|C), B,
+  C-B)) and packs its answers, per slot, into S-bit words (S = 2^n
+  subsets; uint8 up to S = 8, then uint16 and uint32) whose bit r is the
+  triple with rank r in that slot.  Every other set is an array of
+  subset masks, bit i for the i-th label in sorted order, and the set
+  operators are bitwise; ranks serve only as the bit order of a word and
+  as lattice positions.  A query is then one gather of words at the
+  other two arguments' masks, and one word operation decides S
+  instances.  The coupled variables are the first one but W and the
+  others the side condition reads; the rest but W are free.  The coupled
+  rank tuples are listed once per side condition, W and ground size, on
+  first use, in rank space: each listed tuple stores a side word whose
+  bit r says whether the side condition holds with W at rank r, and
+  tuples whose side word is zero are not listed.  The evaluator runs the
+  rule once, on the listed tuples on one axis and each free variable on
+  its own.  A violation is a bit of premise AND NOT conclusion (the
+  literal premise ``True`` is every rank, ``==`` the bitwise
+  biconditional) that is also set in the side word and, when some triple
+  is out of the oracle's domain, in the evaluability words; the lowest
+  such bit of a word is W's least rank there, and the first
+  counterexample is the least lattice position over the violating words.
+  ``checked`` counts the admitted bits whose queries are all evaluable.
+  The guard is asked in rank space (``_RankSpace``): the set bits of the
+  violating words are unpacked into rank tuples, each rank is replaced
+  by its mask, and each query is one ``take`` from the flat truth table
+  at the masks' ``a*S^2 + b*S + c``, in ``uint16`` (``RANK_DTYPE``).
+  When some triple is unevaluable the guard is asked at every admitted
+  bit whose rule queries are evaluable instead, so that ``checked``
+  covers its queries;
 - the replay (``violates``): the sets are frozensets and ``q`` is the
   raw oracle, which re-checks a reported counterexample independently
   of the truth table and of any listing.  The side condition, the rule
@@ -105,9 +108,10 @@ from .separation import EnumerationGuardError, delta_separates_masks
 
 MAX_AXIOM_GROUND = 5
 MAX_SEARCH_GROUND = 4
-# Subset ranks and flat truth-table indices a*S^2 + b*S + c share this
-# dtype; its range must cover S^3 - 1 for S = 2**MAX_AXIOM_GROUND.  A
-# narrow index keeps the gathers of the checks cheap in time and memory.
+# Subset masks, subset ranks and flat truth-table indices a*S^2 + b*S + c
+# of masks share this dtype; its range must cover S^3 - 1 for
+# S = 2**MAX_AXIOM_GROUND.  A narrow index keeps the gathers of the
+# checks cheap in time and memory.
 RANK_DTYPE = np.uint16
 
 
@@ -232,46 +236,32 @@ class ProfileReport:
         raise KeyError(ax)
 
 
-# --- rank-space tables ------------------------------------------------------
+# --- subset tables -----------------------------------------------------------
 
 
 class _Tables:
-    """Per-ground lookup tables: subset ranks and rank-space set algebra."""
+    """Per-ground subset tables.  A set is a mask whose bit i is the
+    i-th label in sorted order, whatever the order of ``ground``.
+    ``masks`` maps a rank to its mask and ``sets`` a mask to its set;
+    ranks order the subsets by (size, sorted member labels), so rank r
+    is the same mask for every ground of a size."""
 
     def __init__(self, ground: tuple[str, ...]):
-        n = len(ground)
+        labels = sorted(ground)
+        n = len(labels)
         size = 1 << n
-        members = [
-            tuple(sorted(ground[i] for i in range(n) if (m >> i) & 1))
-            for m in range(size)
-        ]
-        order = sorted(range(size), key=lambda m: (len(members[m]), members[m]))
         self.ground = ground
         self.n = n
         self.size = size
-        self.masks = np.array(order, dtype=np.int64)  # rank -> mask
-        rank_of = np.empty(size, dtype=RANK_DTYPE)
-        rank_of[self.masks] = np.arange(size)
-        self.rank_of = rank_of  # mask -> rank
+        self.sets = [frozenset(labels[i] for i in range(n) if (m >> i) & 1) for m in range(size)]
+        order = sorted(range(size), key=lambda m: (len(self.sets[m]), sorted(self.sets[m])))
+        self.masks = np.array(order, dtype=RANK_DTYPE)  # rank -> mask
         # flat index strides, as RANK_DTYPE scalars so products stay narrow
         self.stride_a = RANK_DTYPE(size * size)
         self.stride_b = RANK_DTYPE(size)
-        mi = self.masks[:, None]
-        mj = self.masks[None, :]
-        # pair tables, flat: entry i * S + j is for the rank pair (i, j)
-        self.union = rank_of[mi | mj].reshape(-1)
-        self.inter = rank_of[mi & mj].reshape(-1)
-        self.diff = rank_of[mi & ~mj].reshape(-1)
-        self.subset = ((mi & ~mj) == 0).reshape(-1)  # set_i <= set_j
-        self.disjoint = ((mi & mj) == 0).reshape(-1)
-
-    def pair(self, table: np.ndarray, i, j) -> np.ndarray:
-        """Look up the rank pairs (i, j) in one of the flat pair tables."""
-        return table.take(i * self.stride_b + j)
 
     def set_of(self, rank: int) -> frozenset[str]:
-        m = int(self.masks[rank])
-        return frozenset(self.ground[i] for i in range(self.n) if (m >> i) & 1)
+        return self.sets[self.masks[rank]]
 
 
 @lru_cache(maxsize=64)
@@ -293,18 +283,20 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return packed.view(dtype.newbyteorder("<")).astype(dtype).reshape(-1)
 
 
-def _slot_words(cells: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
-    """Per slot of _WORD_SLOTS, the S^3 triples ``cells`` packed into
-    words: bit r of word i*S + j is the triple with rank r in that slot
-    and ranks i, j in the other two, in order."""
-    cube = cells.reshape((size,) * 3)
-    # packbits is several times faster along a contiguous axis
-    return tuple(_pack(np.ascontiguousarray(np.moveaxis(cube, s, -1))) for s in _WORD_SLOTS)
+def _slot_words(cells: np.ndarray, t: _Tables) -> tuple[np.ndarray, ...]:
+    """Per slot of _WORD_SLOTS, the S^3 triples ``cells``, indexed by
+    masks, packed into words: bit r of word i*S + j is the triple with
+    rank r in that slot and masks i, j in the other two, in order."""
+    cube = cells.reshape((t.size,) * 3)
+    # the take also makes the packed axis contiguous, where packbits is
+    # several times faster
+    return tuple(_pack(np.moveaxis(cube, s, -1).take(t.masks, axis=-1)) for s in _WORD_SLOTS)
 
 
 @dataclass
 class TruthTable:
-    """Oracle answers for every subset triple, indexed by subset rank.
+    """Oracle answers for every subset triple, at the flat index
+    a*S^2 + b*S + c of the triple's masks.
 
     ``all_evaluable`` records that no triple raised OracleDomainError.
     ``words`` holds ``values`` packed by ``_slot_words``, and
@@ -329,29 +321,29 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     if len(set(ground)) != len(ground):
         raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
-    a, b, c = (_Ranks(t, r) for r in _axes(t.size, 3))
+    a, b, c = (_Masks(m) for m in _axes(t.size, 3))
     if oracle.overlap_reducible:
         a, c = a - (b | c), c - b
     # the flat index of the triple each cell asks; ask each distinct one
     # once, found with a mask: np.unique's first call imports numpy.ma,
     # about 1.7 MB of resident memory
-    asked = _RankSpace.index(a, b, c)
+    asked = _RankSpace(t).index(a, b, c)
     distinct = np.zeros(t.size**3, dtype=bool)
     distinct[asked] = True
     values = np.zeros(t.size**3, dtype=bool)
     evaluable = np.ones(t.size**3, dtype=bool)
-    sets = [t.set_of(r) for r in range(t.size)]
+    sets = t.sets
     for flat in np.flatnonzero(distinct).tolist():
-        ra, bc = divmod(flat, t.size * t.size)
-        rb, rc = divmod(bc, t.size)
+        ma, bc = divmod(flat, t.size * t.size)
+        mb, mc = divmod(bc, t.size)
         try:
-            values[flat] = oracle.query(sets[ra], sets[rb], sets[rc])
+            values[flat] = oracle.query(sets[ma], sets[mb], sets[mc])
         except OracleDomainError:
             evaluable[flat] = False
     all_evaluable = bool(evaluable.all())
     values, evaluable = values[asked], evaluable[asked]
-    words = _slot_words(values, t.size)
-    evaluable_words = None if all_evaluable else _slot_words(evaluable, t.size)
+    words = _slot_words(values, t)
+    evaluable_words = None if all_evaluable else _slot_words(evaluable, t)
     return TruthTable(t, values, evaluable, all_evaluable, words, evaluable_words)
 
 
@@ -443,26 +435,25 @@ _RULES = {
 # --- backends -----------------------------------------------------------------
 
 
-class _Ranks:
-    """A quantified set as an array of subset ranks; operators are table lookups."""
+class _Masks:
+    """A quantified set as an array of subset masks; operators are bitwise."""
 
-    __slots__ = ("t", "r")
+    __slots__ = ("m",)
 
-    def __init__(self, t: _Tables, r):
-        self.t = t
-        self.r = r
+    def __init__(self, m):
+        self.m = m
 
-    def __or__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.pair(self.t.union, self.r, other.r))
+    def __or__(self, other: "_Masks") -> "_Masks":
+        return _Masks(self.m | other.m)
 
-    def __and__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.pair(self.t.inter, self.r, other.r))
+    def __and__(self, other: "_Masks") -> "_Masks":
+        return _Masks(self.m & other.m)
 
-    def __sub__(self, other: "_Ranks") -> "_Ranks":
-        return _Ranks(self.t, self.t.pair(self.t.diff, self.r, other.r))
+    def __sub__(self, other: "_Masks") -> "_Masks":
+        return _Masks(self.m & ~other.m)
 
-    def __le__(self, other: "_Ranks") -> np.ndarray:
-        return self.t.pair(self.t.subset, self.r, other.r)
+    def __le__(self, other: "_Masks") -> np.ndarray:
+        return (self.m & ~other.m) == 0
 
 
 def _meet(mask, term):
@@ -473,11 +464,11 @@ def _meet(mask, term):
 
 
 class _RankSpace:
-    """Rule backend over rank arrays of the subsets in ``t``.  ``q``
-    returns a truth table's ``values`` and ANDs the queried cells'
-    ``cell_evaluable`` into ``evaluable``, which is None until the first
-    query of a table with unevaluable triples.  A side condition needs
-    neither, since it never queries."""
+    """Rule backend over mask arrays of the subsets in ``t``, one cell per
+    tuple of sets.  ``q`` returns a truth table's ``values`` and ANDs the
+    queried cells' ``cell_evaluable`` into ``evaluable``, which is None
+    until the first query of a table with unevaluable triples.  A side
+    condition needs neither, since it never queries."""
 
     def __init__(self, t: _Tables, values=None, cell_evaluable=None):
         self.t = t
@@ -485,36 +476,34 @@ class _RankSpace:
         self.cell_evaluable = cell_evaluable
         self.evaluable = None
 
-    @staticmethod
-    def index(a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
+    def index(self, a: _Masks, b: _Masks, c: _Masks) -> np.ndarray:
         """The flat truth-table index a*S^2 + b*S + c of each triple.  The
         two smaller operands are summed first, so only the last addition
         runs at the full broadcast size."""
-        t = a.t
-        x, y, z = sorted((a.r * t.stride_a, b.r * t.stride_b, c.r), key=np.size)
+        t = self.t
+        x, y, z = sorted((a.m * t.stride_a, b.m * t.stride_b, c.m), key=np.size)
         return (x + y) + z
 
-    def q(self, a: _Ranks, b: _Ranks, c: _Ranks) -> np.ndarray:
+    def q(self, a: _Masks, b: _Masks, c: _Masks) -> np.ndarray:
         idx = self.index(a, b, c)
         if self.cell_evaluable is not None:
             self.evaluable = _meet(self.evaluable, self.cell_evaluable.take(idx))
         return self.values.take(idx)
 
-    def disjoint(self, *sets: _Ranks) -> np.ndarray:
-        t = self.t
+    @staticmethod
+    def disjoint(*sets: _Masks) -> np.ndarray:
         out = None
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
-                out = _meet(out, t.pair(t.disjoint, a.r, b.r))
+                out = _meet(out, (a.m & b.m) == 0)
         return np.True_ if out is None else out
 
-    def forall(self, s: _Ranks, clause) -> np.ndarray:
+    def forall(self, s: _Masks, clause) -> np.ndarray:
         # clause(k) and its evaluability count only where k is in s
-        t = self.t
         outer = self.evaluable
         holds = None
-        for bit_index in range(t.n):
-            k = _Ranks(t, t.rank_of[1 << bit_index])
+        for bit_index in range(self.t.n):
+            k = _Masks(RANK_DTYPE(1 << bit_index))
             skip = ~(k <= s)
             self.evaluable = None
             holds = _meet(holds, clause(k) | skip)
@@ -546,8 +535,8 @@ class _Words:
 class _WordSpace:
     """Rule backend for a rule whose word variable is argument ``slot`` of
     every query.  ``q`` ignores that argument and gathers the table's
-    words at the other two, and ANDs their evaluability words into
-    ``evaluable`` as ``_RankSpace.q`` does."""
+    words at the other two arguments' masks, and ANDs their evaluability
+    words into ``evaluable`` as ``_RankSpace.q`` does."""
 
     def __init__(self, tt: TruthTable, slot: int):
         self.slot = slot
@@ -556,8 +545,8 @@ class _WordSpace:
         self.cell_evaluable = None if tt.all_evaluable else tt.evaluable_words[slot]
         self.evaluable = None
 
-    def q(self, *args: _Ranks) -> _Words:
-        i, j = (a.r for k, a in enumerate(args) if k != self.slot)
+    def q(self, *args: _Masks) -> _Words:
+        i, j = (a.m for k, a in enumerate(args) if k != self.slot)
         idx = i * self.stride + j
         if self.cell_evaluable is not None:
             self.evaluable = _meet(self.evaluable, self.cell_evaluable.take(idx))
@@ -676,20 +665,20 @@ def _admitted(names: str, side, word: str, n: int) -> _Admitted:
     admitted exactly when the side word of its coupled part has the bit
     of its rank of ``word``; ``count`` is the number of admitted full
     rank tuples.  The list depends only on n, since rank r is the same
-    subset of the sorted labels for every ground; it is built on first
-    use, in blocks of the first coupled axis, with the free variables
-    set to the empty set."""
+    mask for every ground (see ``_Tables``); it is built on first use,
+    in blocks of the first coupled axis, with the free variables set to
+    the empty set."""
     reads = _reads(names, side)
     others = names.replace(word, "")
     coupled = "".join(v for v in others if v == others[0] or v in reads)
-    t = _Tables(tuple(str(i) for i in range(n)))
+    t = _tables(tuple(str(i) for i in range(n)))
     x = _RankSpace(t)
     first, *rest = _axes(t.size, len(coupled) + 1)  # the word variable last
     step = max(1, _BLOCK_CELLS // t.size ** len(rest))
     parts = []
     for lo in range(0, t.size, step):
         ranks = dict(zip(coupled + word, [first[lo : lo + step]] + rest))
-        sets = [_Ranks(t, ranks.get(v, RANK_DTYPE(0))) for v in names]
+        sets = [_Masks(t.masks[ranks.get(v, 0)]) for v in names]
         shape = (min(step, t.size - lo),) + (t.size,) * len(rest)
         parts.append(_pack(np.broadcast_to(side(x, *sets), shape)))
     words = np.concatenate(parts)
@@ -717,7 +706,7 @@ def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, 
     and the word variable packed into the bits of one S-bit word per
     cell.  Every query of the rule takes the word variable bare in
     argument ``slot``, so it is one gather of words at the other two
-    arguments' ranks.
+    arguments' masks.
 
     Returns the lattice position of the first violation (None if there
     is none) and the number of admitted tuples whose queries are all
@@ -725,8 +714,8 @@ def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, 
     in the evaluability words when some triple is unevaluable, and in
     the side word, which is ANDed in only on the cells where the rest
     has a bit set.  The least rank of the word variable in a violating
-    word is its lowest set bit.  The guard is asked in rank space, on
-    the rank tuples of set bits: of the violating words, or, when some
+    word is its lowest set bit.  The guard is asked in ``_RankSpace``,
+    on the rank tuples of set bits: of the violating words, or, when some
     triple is unevaluable, of every admitted tuple whose rule queries
     are evaluable, so that the guard's queries count towards
     ``checked``.  Cell order is not lattice order when a free variable
@@ -739,10 +728,10 @@ def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, 
     shape = (len(admitted.listed),) + (size,) * len(free)
     column = (-1,) + (1,) * len(free)
     entries = dict(zip(coupled, np.unravel_index(admitted.listed, (size,) * len(coupled))))
-    ranks = {v: r.astype(RANK_DTYPE).reshape(column) for v, r in entries.items()}
-    ranks.update(zip(free, _axes(size, len(shape))[1:]))
+    masks = {v: t.masks[r].reshape(column) for v, r in entries.items()}
+    masks.update((v, t.masks[r]) for v, r in zip(free, _axes(size, len(shape))[1:]))
     x = _WordSpace(tt, slot)
-    premise, conclusion = rule(x, *(None if v == word else _Ranks(t, ranks[v]) for v in names))
+    premise, conclusion = rule(x, *(None if v == word else _Masks(masks[v]) for v in names))
     violated = ~conclusion.w if premise is True else premise.w & ~conclusion.w
     checked = admitted.count
     if not tt.all_evaluable:
@@ -771,7 +760,7 @@ def _evaluate(tt: TruthTable, names: str, rule, admitted: _Admitted, slot: int, 
     at, rank = np.nonzero((bits[:, None] >> np.arange(size)) & 1)
     sets = [rank if v == word else ranks[v][at] for v in names]
     y = _RankSpace(t, tt.values, None if tt.all_evaluable else tt.evaluable)
-    holds = guard(y, *(_Ranks(t, r.astype(RANK_DTYPE)) for r in sets))
+    holds = guard(y, *(_Masks(t.masks[r]) for r in sets))
     if not tt.all_evaluable:
         checked += int(np.count_nonzero(y.evaluable))
         flags = np.broadcast_to(violated, shape).reshape(-1)[cell[at]] >> rank
@@ -829,11 +818,16 @@ def check_semigraphoid_profile(
     """Run all ten axioms; optionally compare against an expected pattern.
 
     ``expected`` may constrain any subset of the axioms; unmentioned
-    axioms are allowed to come out either way.
+    axioms are allowed to come out either way.  It must be a mapping
+    from axioms to bools, or else it is a ValueError.
     """
-    for key in expected or ():
+    if expected is not None and not isinstance(expected, Mapping):
+        raise ValueError(f"the expected pattern must map axioms to bools, not {expected!r}")
+    for key, want in (expected or {}).items():
         if not isinstance(key, Axiom):
             raise ValueError(f"expected pattern keys must be axioms, not {key!r}")
+        if not isinstance(want, bool):
+            raise ValueError(f"expected pattern values must be bools, not {want!r}")
     tt = _table_for(oracle, table)
     reports = tuple(check_axiom(oracle, ax, tt) for ax in GRAPHOID_AXIOMS)
     matches = None

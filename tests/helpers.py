@@ -203,8 +203,9 @@ def slow_check(oracle, prop):
 
 def rank_space_evaluate(table, names, side, rule, guard=None):
     """Evaluate a ``_RULES`` entry on the whole lattice of ``table`` at
-    once, one cell per rank tuple of ``names``: the side condition, the
-    rule and the guard are all asked on every cell.
+    once, one cell per rank tuple of ``names``, each set held as the
+    subset masks of its ranks: the side condition, the rule and the
+    guard are all asked on every cell.
 
     Returns the lattice position (C order over ``names``) of the first
     violation, or None, and the number of cells where the side condition
@@ -212,7 +213,7 @@ def rank_space_evaluate(table, names, side, rule, guard=None):
     returns for the entry."""
     t = table.tables
     x = graphoid._RankSpace(t, table.values, None if table.all_evaluable else table.evaluable)
-    sets = [graphoid._Ranks(t, r) for r in graphoid._axes(t.size, len(names))]
+    sets = [graphoid._Masks(t.masks[r]) for r in graphoid._axes(t.size, len(names))]
     premise, conclusion = rule(x, *sets)
     premise = premise & (guard(x, *sets) if guard else True)
     shape = (t.size,) * len(names)

@@ -416,7 +416,7 @@ class TestTransitionMatrix:
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-10
         assert p.min() >= 0.0
 
-    @pytest.mark.parametrize("h", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("h", [-0.1, math.nan, math.inf, True, "0.2", None])
     def test_negative_window_rejected(self, cycle3_spec, h):
         gen = build_generator(cycle3_spec)
         with pytest.raises(ValueError):
@@ -586,6 +586,10 @@ class TestCiDecay:
                 ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
         for hs in ((1e300,), (1e300, 0.1)):
             with pytest.raises(ValueError, match="largest exit rate"):
+                ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
+        # a string is not read digit by digit, nor a bool as 1.0
+        for hs in ("21", (True, 0.5), (2.0, "1"), 0.2, None):
+            with pytest.raises(ValueError, match="window lengths must be"):
                 ci_decay(cycle3_spec, pi, "a", "b", ("c",), hs=hs)
 
     @pytest.mark.parametrize("hs", [(), (0.2,)])
@@ -930,6 +934,11 @@ class TestTrajectory:
     def test_rejects_ragged_states(self, cycle3_spec, jump):
         with pytest.raises(ValueError, match="triple"):
             Trajectory(cycle3_spec.space, (0, 0, 0), (jump,), 5.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, math.nan, "5", True, None])
+    def test_rejects_bad_horizon(self, cycle3_spec, horizon):
+        with pytest.raises(ValueError, match="horizon must be a positive finite number"):
+            Trajectory(cycle3_spec.space, (0, 0, 0), (), horizon)
 
 
 class TestWireFormats:

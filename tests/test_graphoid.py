@@ -39,7 +39,7 @@ from ligraph.graphoid import (
     violates,
 )
 from ligraph.separation import EnumerationGuardError, subsets_by_size
-from ligraph.cfmp import local_independence_oracle
+from ligraph.cfmp import CfmpSpec, ComponentSpace, local_independence_oracle
 
 
 def relation_oracle(ground, true_triples, name="synthetic"):
@@ -121,6 +121,22 @@ class TestInputValidation:
         monkeypatch.setattr(graphoid, "build_truth_table", no_check)
         with pytest.raises(ValueError, match="keys must be axioms"):
             check_semigraphoid_profile(constant_oracle(("a", "b")), {key: True})
+
+    @pytest.mark.parametrize("expected", [
+        {Axiom.LEFT_REDUNDANCY: "yes"},
+        {Axiom.LEFT_REDUNDANCY: 1},
+        {Axiom.LEFT_REDUNDANCY: None},
+        [Axiom.LEFT_REDUNDANCY],
+        "left_redundancy",
+    ])
+    def test_expected_pattern_maps_axioms_to_bools(self, monkeypatch, expected):
+        def no_check(*args):
+            raise AssertionError("a check ran before the pattern was read")
+
+        monkeypatch.setattr(graphoid, "check_axiom", no_check)
+        monkeypatch.setattr(graphoid, "build_truth_table", no_check)
+        with pytest.raises(ValueError, match="must map axioms to bools|values must be bools"):
+            check_semigraphoid_profile(constant_oracle(("a", "b")), expected)
 
     def test_violates_rejects_unknown_keys(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
@@ -460,7 +476,7 @@ class TestAdmittedTuples:
         else:
             # the whole lattice at once, in the rank-space backend
             axes = dict(zip(names, graphoid._axes(t.size, len(names))))
-            holds = side(_RefusingRankSpace(t), *(graphoid._Ranks(t, a) for a in axes.values()))
+            holds = side(_RefusingRankSpace(t), *(graphoid._Masks(t.masks[a]) for a in axes.values()))
             shape = (t.size,) * len(names)
             assert np.array_equal(
                 np.broadcast_to(listed(axes), shape), np.broadcast_to(holds, shape)
@@ -695,6 +711,32 @@ class TestReducibleTableMatchesGenericTable:
             assert (report.checked, report.skipped) == (checked, skips), prop
             skipped += report.skipped
         assert skipped
+
+
+class TestLabelOrder:
+    def test_reports_do_not_depend_on_the_order_of_ground(self, cycle3_spec):
+        """An oracle whose ground is out of sorted order reports exactly
+        what the same relation over the sorted ground reports, on every
+        property: sets, ranks and counterexamples follow sorted labels."""
+        rng = random.Random(23)
+        pairs = []
+        for order in ("cadb", "dcba", "bdac"):
+            full = delta_separation_oracle(random_digraph(tuple("abcd"), rng, p=0.4))
+            shuffled = IrrelevanceOracle(tuple(order), full.query, overlap_reducible=True)
+            pairs.append((full, shuffled))
+        partial = _test_oracles(4)[1]
+        pairs.append((partial, IrrelevanceOracle(tuple("dbca"), partial.query)))
+        space = cycle3_spec.space
+        cab = ComponentSpace(("c", "a", "b"), tuple(space.cards[space.index_of(v)] for v in "cab"))
+        pairs.append((
+            local_independence_oracle(cycle3_spec),
+            local_independence_oracle(CfmpSpec(cab, cycle3_spec.intensities)),
+        ))
+        for ordered, shuffled in pairs:
+            assert list(ordered.ground) == sorted(shuffled.ground) != list(shuffled.ground)
+            table = build_truth_table(shuffled)
+            for prop in PROPERTIES:
+                assert _report(shuffled, prop, table) == _report(ordered, prop), prop
 
 
 class TestTrimMetaTheorems:
