@@ -46,7 +46,12 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
   the oracle each distinct triple once (for an ``overlap_reducible``
   oracle such as delta-separation only the reduced triples (A-(B|C), B,
-  C-B)) and packs its answers, per slot, into S-bit words (S = 2^n
+  C-B)).  When the query is the one ``delta_separation_oracle`` made
+  and the ground holds exactly its graph's labels, in any order, the
+  distinct triples are instead answered together by the array trail
+  procedure of ``separation``; a query replaced by any other callable,
+  such as a counting wrapper, is asked triple by triple.  The table
+  packs the answers, per slot, into S-bit words (S = 2^n
   subsets; uint8 up to S = 8, then uint16 and uint32) whose bit r is the
   triple with rank r in that slot.  Every other set is an array of
   subset masks, bit i for the i-th label in sorted order, and the set
@@ -104,7 +109,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .graphs import DiGraph, UGraph, enumerate_digraphs
-from .separation import EnumerationGuardError, delta_separates_masks
+from .separation import EnumerationGuardError, _delta_trail_arrays, delta_separates_masks
 
 MAX_AXIOM_GROUND = 5
 MAX_SEARCH_GROUND = 4
@@ -318,33 +323,53 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
             f"refusing axiom enumeration over {len(ground)} ground elements "
             f"(limit {MAX_AXIOM_GROUND})"
         )
-    if len(set(ground)) != len(ground):
+    try:
+        labels = sorted(set(ground))
+    except TypeError:
+        raise ValueError(f"ground labels must hash and sort: {list(ground)}") from None
+    if len(labels) != len(ground):
         raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
-    a, b, c = (_Masks(m) for m in _axes(t.size, 3))
-    if oracle.overlap_reducible:
-        a, c = a - (b | c), c - b
-    # the flat index of the triple each cell asks; ask each distinct one
-    # once, found with a mask: np.unique's first call imports numpy.ma,
-    # about 1.7 MB of resident memory
-    asked = _RankSpace(t).index(a, b, c)
-    distinct = np.zeros(t.size**3, dtype=bool)
-    distinct[asked] = True
+    asked, flat, triple = _asked(t.size, oracle.overlap_reducible)
     values = np.zeros(t.size**3, dtype=bool)
     evaluable = np.ones(t.size**3, dtype=bool)
-    sets = t.sets
-    for flat in np.flatnonzero(distinct).tolist():
-        ma, bc = divmod(flat, t.size * t.size)
-        mb, mc = divmod(bc, t.size)
-        try:
-            values[flat] = oracle.query(sets[ma], sets[mb], sets[mc])
-        except OracleDomainError:
-            evaluable[flat] = False
+    query = oracle.query
+    if isinstance(query, _DeltaSeparationQuery) and labels == list(query.g.labels):
+        values[flat] = query.masks(*triple)
+    else:
+        sets = t.sets
+        for at, ma, mb, mc in zip(flat.tolist(), *(m.tolist() for m in triple)):
+            try:
+                values[at] = query(sets[ma], sets[mb], sets[mc])
+            except OracleDomainError:
+                evaluable[at] = False
     all_evaluable = bool(evaluable.all())
     values, evaluable = values[asked], evaluable[asked]
     words = _slot_words(values, t)
     evaluable_words = None if all_evaluable else _slot_words(evaluable, t)
     return TruthTable(t, values, evaluable, all_evaluable, words, evaluable_words)
+
+
+@lru_cache(maxsize=None)
+def _asked(size: int, overlap_reducible: bool):
+    """What a truth table over S = ``size`` subsets asks, as read-only
+    arrays: per cell, the flat index a*S^2 + b*S + c of the triple it
+    asks (for an ``overlap_reducible`` oracle the reduced triple); the
+    distinct flat indices, ascending; and their masks (a, b, c)."""
+    a, b, c = (_Masks(m) for m in _axes(size, 3))
+    if overlap_reducible:
+        a, c = a - (b | c), c - b
+    asked = (a.m * RANK_DTYPE(size * size) + b.m * RANK_DTYPE(size)) + c.m
+    # the distinct ones are found with a mask: np.unique's first call
+    # imports numpy.ma, about 1.7 MB of resident memory
+    distinct = np.zeros(size**3, dtype=bool)
+    distinct[asked] = True
+    flat = np.flatnonzero(distinct).astype(RANK_DTYPE)
+    ma, rest = np.divmod(flat, RANK_DTYPE(size * size))
+    triple = (ma, *np.divmod(rest, RANK_DTYPE(size)))
+    for array in (asked, flat, *triple):
+        array.flags.writeable = False
+    return asked, flat, triple
 
 
 def _axes(size: int, k: int):
@@ -900,15 +925,35 @@ def violates(
 # --- oracle factories --------------------------------------------------------
 
 
+class _DeltaSeparationQuery:
+    """The query of ``delta_separation_oracle``.  A call asks one triple
+    of label sets with ``delta_separates_masks``; ``masks`` answers arrays
+    of mask triples at once with the trail kernel, which
+    ``build_truth_table`` uses.  The kernel belongs to the query, not to
+    the oracle, so an oracle whose query is replaced, such as by a
+    counting wrapper, is asked triple by triple."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g: DiGraph):
+        self.g = g
+
+    def __call__(self, a: frozenset, b: frozenset, c: frozenset) -> bool:
+        g = self.g
+        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
+
+    def masks(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return _delta_trail_arrays(self.g, a, b, c)
+
+
 def delta_separation_oracle(g: DiGraph) -> IrrelevanceOracle:
     """Irrelevance via graph separation: (a, b, c) true iff c separates
     a from b in g."""
-
-    def query(a: frozenset, b: frozenset, c: frozenset) -> bool:
-        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
-
     return IrrelevanceOracle(
-        ground=g.labels, query=query, name="delta-separation", overlap_reducible=True
+        ground=g.labels,
+        query=_DeltaSeparationQuery(g),
+        name="delta-separation",
+        overlap_reducible=True,
     )
 
 

@@ -43,6 +43,7 @@ from ligraph.graphoid import (
 )
 from ligraph.separation import (
     SeparationQuery,
+    _delta_trail_arrays,
     all_separations,
     delta_separates,
     delta_separates_masks,
@@ -93,17 +94,22 @@ def test_criterion_2_method_equivalence_four_nodes():
             elif slot == 3:
                 c |= 1 << i
         triples.append((a, b, c))
+    arrays = [np.array(m, dtype=np.uint16) for m in zip(*triples)]
     checks = 0
     disagreements = 0
     for g in enumerate_digraphs(labels):
-        for a, b, c in triples:
+        # the third procedure, the array kernel behind delta-separation
+        # truth tables, answers all the triples of a graph at once
+        kernel = _delta_trail_arrays(g, *arrays).tolist()
+        for (a, b, c), by_kernel in zip(triples, kernel):
             checks += 1
-            if delta_separates_masks(g, a, b, c) != delta_trail_masks(g, a, b, c):
+            moral = delta_separates_masks(g, a, b, c)
+            if not moral == delta_trail_masks(g, a, b, c) == by_kernel:
                 disagreements += 1
     ok = disagreements == 0 and checks == 4096 * 256
     _report(
         2,
-        "moral and trail methods agree on all 4-node digraphs",
+        "moral, trail and array trail methods agree on all 4-node digraphs",
         ok,
         f"{checks} checks, {disagreements} disagreements",
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ from helpers import (
     slow_check,
 )
 from ligraph import graphoid
-from ligraph.graphs import DiGraph, UGraph, enumerate_digraphs
+from ligraph.graphs import DiGraph, UGraph, UnknownNodeError, enumerate_digraphs
 from ligraph.graphoid import (
     Axiom,
     DELTA_SEPARATION_GUARANTEES,
@@ -96,6 +97,15 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="repeated"):
             build_truth_table(oracle)
         with pytest.raises(ValueError, match="repeated"):
+            check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
+
+    @pytest.mark.parametrize("ground", [("a", 1), ("a", ["b"])])
+    def test_unsortable_ground_labels_rejected(self, ground):
+        # sets are masks over the sorted labels, so the labels must sort
+        oracle = IrrelevanceOracle(ground=ground, query=lambda a, b, c: True)
+        with pytest.raises(ValueError, match="ground labels must hash and sort"):
+            build_truth_table(oracle)
+        with pytest.raises(ValueError, match="ground labels must hash and sort"):
             check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
 
     def test_table_from_another_ground_rejected(self):
@@ -665,6 +675,22 @@ class TestPinnedReports:
         assert digest.hexdigest() == REPORT_DIGESTS[family]
 
 
+def _loop_table(oracle):
+    """The truth table of ``oracle`` asked triple by triple: a plain
+    function wrapping its query never reaches the delta-separation
+    kernel."""
+    query = oracle.query
+    return build_truth_table(dataclasses.replace(oracle, query=lambda a, b, c: query(a, b, c)))
+
+
+def _assert_same_table(got, expected):
+    assert (got.values == expected.values).all()
+    assert (got.evaluable == expected.evaluable).all()
+    assert got.all_evaluable == expected.all_evaluable
+    for ours, theirs in zip(got.words, expected.words, strict=True):
+        assert ours.dtype == theirs.dtype and (ours == theirs).all()
+
+
 class TestReducibleTableMatchesGenericTable:
     def test_agreement(self):
         rng = random.Random(11)
@@ -674,12 +700,72 @@ class TestReducibleTableMatchesGenericTable:
         for g in graphs:
             oracle = delta_separation_oracle(g)
             fast = build_truth_table(oracle)
-            generic = build_truth_table(
-                IrrelevanceOracle(ground=oracle.ground, query=oracle.query)
-            )
+            generic = _loop_table(IrrelevanceOracle(ground=oracle.ground, query=oracle.query))
             assert (fast.values == generic.values).all(), g.edges
             assert (fast.evaluable == generic.evaluable).all(), g.edges
             assert fast.all_evaluable and generic.all_evaluable
+
+    @pytest.mark.parametrize("reducible", [True, False])
+    def test_kernel_table_equals_loop_table(self, monkeypatch, reducible):
+        """A delta-separation query over its graph's labels, in any order,
+        fills the table with the array kernel, asking no triple alone;
+        unreduced triples are reduced by the kernel."""
+        rng = random.Random(12)
+        for labels in ("abc", "abcd", "abcde"):
+            for _ in range(3):
+                g = random_digraph(tuple(labels), rng, p=rng.uniform(0.1, 0.7))
+                query = delta_separation_oracle(g).query
+                for ground in (g.labels, tuple(rng.sample(g.labels, len(g.labels)))):
+                    oracle = IrrelevanceOracle(ground, query, overlap_reducible=reducible)
+                    expected = _loop_table(oracle)
+                    with monkeypatch.context() as m:
+                        m.setattr(graphoid, "delta_separates_masks", None)
+                        got = build_truth_table(oracle)
+                    _assert_same_table(got, expected)
+
+    def test_other_grounds_are_asked_triple_by_triple(self):
+        g = random_digraph(tuple("abcd"), random.Random(13), p=0.5)
+        query = delta_separation_oracle(g).query
+        subset = IrrelevanceOracle(("d", "b", "a"), query, overlap_reducible=True)
+        _assert_same_table(build_truth_table(subset), _loop_table(subset))
+        # a label the graph lacks fails the first query that holds it
+        for ground in (tuple("abcz"), tuple("abcde")):
+            oracle = IrrelevanceOracle(ground, query, overlap_reducible=True)
+            with pytest.raises(UnknownNodeError) as loop_error:
+                _loop_table(oracle)
+            with pytest.raises(UnknownNodeError) as error:
+                build_truth_table(oracle)
+            assert str(error.value) == str(loop_error.value)
+
+    @pytest.mark.parametrize("n", range(MAX_AXIOM_GROUND + 1))
+    def test_ground_arrays_are_cached_read_only(self, n):
+        size = 1 << n
+        for reducible, distinct in ((True, 4**n), (False, size**3)):
+            asked, flat, triple = graphoid._asked(size, reducible)
+            assert graphoid._asked(size, reducible)[0] is asked
+            assert len(flat) == distinct and (np.diff(flat.astype(int)) > 0).all()
+            assert (np.unique(asked) == flat).all()
+            a, b, c = (m.astype(int) for m in triple)
+            assert (flat == a * size * size + b * size + c).all()
+            if reducible:
+                assert not (a & (b | c)).any() and not (b & c).any()
+            for array in (asked, flat, *triple):
+                assert not array.flags.writeable
+
+    @pytest.mark.parametrize("labels", ["abc", "abcd"])
+    def test_replaced_query_is_asked_once_per_distinct_triple(self, labels):
+        # how perfbench's traced run counts oracle calls: the kernel stays
+        # with the query it belongs to, so the wrapper is asked
+        oracle = delta_separation_oracle(random_digraph(tuple(labels), random.Random(14), p=0.5))
+        asked = []
+
+        def counting(a, b, c):
+            asked.append((a, b, c))
+            return oracle.query(a, b, c)
+
+        table = build_truth_table(dataclasses.replace(oracle, query=counting))
+        assert len(asked) == len(set(asked)) == 4 ** len(labels)
+        _assert_same_table(table, build_truth_table(oracle))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_reducible_oracle_with_domain_matches_slow_check(self, seed):

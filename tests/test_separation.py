@@ -1,13 +1,18 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
+from helpers import random_digraph
 from ligraph.graphs import DiGraph, UnknownNodeError, enumerate_digraphs
 from ligraph.separation import (
     EnumerationGuardError,
     SeparationQuery,
+    _delta_trail_arrays,
     all_separations,
     delta_separates,
+    delta_separates_masks,
     delta_separates_trail,
     subsets_by_size,
 )
@@ -75,6 +80,25 @@ class TestTrailMethod:
                         assert delta_separates(g, query) == delta_separates_trail(
                             g, query
                         ), (sorted(g.edges), sorted(a), sorted(b), sorted(c))
+
+
+class TestTrailArrays:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_agrees_with_moral_method_on_overlapping_triples(self, n):
+        # random mask triples mostly overlap, so the kernel must reduce
+        # them itself, as build_truth_table sends them unreduced when the
+        # oracle is not overlap_reducible
+        rng = random.Random(40 + n)
+        labels = tuple("abcdef"[:n])
+        answers = set()
+        for _ in range(8):
+            g = random_digraph(labels, rng, p=rng.uniform(0.1, 0.6))
+            triples = [tuple(rng.randrange(1 << n) for _ in range(3)) for _ in range(500)]
+            a, b, c = (np.array(m, dtype=np.uint16) for m in zip(*triples))
+            expected = [delta_separates_masks(g, *t) for t in triples]
+            assert _delta_trail_arrays(g, a, b, c).tolist() == expected, sorted(g.edges)
+            answers.update(expected)
+        assert answers == {False, True}
 
 
 class TestReduction:
@@ -147,6 +171,14 @@ class TestAllSeparations:
         g = DiGraph([f"n{i}" for i in range(7)])
         with pytest.raises(EnumerationGuardError):
             all_separations(g, 1)
+
+    @pytest.mark.parametrize("max_cond", ["2", None, -1, 2.5, True])
+    def test_rejects_bad_max_cond(self, cycle3, max_cond):
+        with pytest.raises(ValueError, match="max_cond must be a non-negative int"):
+            all_separations(cycle3, max_cond)
+        # checked before the node-count guard
+        with pytest.raises(ValueError, match="max_cond must be a non-negative int"):
+            all_separations(DiGraph([f"n{i}" for i in range(7)]), max_cond)
 
 
 class TestSubsetOrder:
