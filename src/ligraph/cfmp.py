@@ -51,6 +51,7 @@ import itertools
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -171,7 +172,8 @@ class Trajectory:
     one ``(time, component index, new state)`` event per jump.  It is
     checked against ``space`` once, on construction, which also sets the
     product state index and dwell time of each segment and the component
-    each jump moves."""
+    each jump moves, and keeps the jumps as plain (float, int, int)
+    triples."""
 
     space: ComponentSpace
     initial: tuple[int, ...]
@@ -183,7 +185,8 @@ class Trajectory:
 
     def __post_init__(self):
         checked = _check_path(self.space, self.initial, self.jumps, self.horizon)
-        for name, value in zip(("initial", "horizon", "_segments", "_dwell", "_moved"), checked):
+        names = ("initial", "horizon", "jumps", "_segments", "_dwell", "_moved")
+        for name, value in zip(names, checked):
             object.__setattr__(self, name, value)
 
 
@@ -211,10 +214,11 @@ def _real(value) -> bool:
 def _check_path(space: ComponentSpace, initial, jumps, horizon):
     """The one check of a trajectory: a positive finite horizon, jump
     times strictly increasing within (0, horizon], integer components
-    and states in range, and every jump changing its component's state.
-    Returns the initial state as a tuple of ints, the horizon as a float,
-    and each segment's product state index and dwell time and each
-    jump's component as arrays."""
+    and states in range, no bool anywhere in a jump, and every jump
+    changing its component's state.  Returns the initial state as a tuple
+    of ints, the horizon as a float, the jumps as (float, int, int)
+    triples, and each segment's product state index and dwell time and
+    each jump's component as arrays."""
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"trajectory horizon must be a positive finite number, got {horizon!r}")
     if not 0 < space.n_states <= MAX_PRODUCT_STATES:
@@ -225,6 +229,9 @@ def _check_path(space: ComponentSpace, initial, jumps, horizon):
     if set(map(len, jumps)) - {3}:
         raise ValueError("each jump must be a (time, component index, new state) triple")
     times, comps, states = zip(*jumps) if len(jumps) else [np.zeros(0, dtype=int)] * 3
+    bools = {bool, np.bool_}
+    if bools & {*map(type, times), *map(type, comps), *map(type, states)}:
+        _reject(jumps, np.array([not bools.isdisjoint(map(type, j)) for j in jumps]), "holds a bool")
     times = _array(times, "iuf", "jump times")
     comps, states = _array(comps, "iu", "jump components"), _array(states, "iu", "new states")
     dwell = np.diff(np.concatenate(([0.0], times, [horizon])))
@@ -240,7 +247,8 @@ def _check_path(space: ComponentSpace, initial, jumps, horizon):
     last = np.maximum.accumulate(last, axis=0)
     full = np.where(last > 0, np.concatenate(([0], states))[last], init)
     _reject(jumps, full[rows - 1, comps] == states, "does not change its component's state")
-    return tuple(init.tolist()), float(horizon), full @ space.strides, dwell, comps
+    jumps = tuple(zip(times.tolist(), comps.tolist(), states.tolist()))
+    return tuple(init.tolist()), float(horizon), jumps, full @ space.strides, dwell, comps
 
 
 # --- validation ---------------------------------------------------------------
@@ -1055,14 +1063,31 @@ def spec_from_json(text: str) -> CfmpSpec:
 
 
 def trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:
+    """The JSONL text of ``traj``: a ``json.dumps`` header line, then one
+    event line per jump, formatted as ``json.dumps`` would format it."""
     if space != traj.space:
         raise ValueError(f"a trajectory over {traj.space} cannot be written over {space}")
     header = dict(components=list(space.names), initial=list(traj.initial), horizon=traj.horizon)
-    events = ({"time": t, "component": space.names[k], "new_state": s} for t, k, s in traj.jumps)
-    return "".join(json.dumps(line) + "\n" for line in (header, *events))
+    names = [json.dumps(n) for n in space.names]
+    events = [
+        f'{{"time": {t!r}, "component": {names[k]}, "new_state": {s}}}\n' for t, k, s in traj.jumps
+    ]
+    return json.dumps(header) + "\n" + "".join(events)
+
+
+@functools.cache
+def _event_line() -> re.Pattern:
+    """The writer's event line, for values that ``json`` reads the same
+    way: an unsigned number whose integer part ``float`` cannot overflow,
+    a name with no escape or control character, a state of 1-18 digits."""
+    number = r"(?:0|[1-9][0-9]{0,15})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+    name, state = r'[^"\\\x00-\x1f]*', r"0|[1-9][0-9]{0,17}"
+    return re.compile(f'{{"time": ({number}), "component": "({name})", "new_state": ({state})}}')
 
 
 def trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
+    """The trajectory in ``text``.  An event line in the writer's exact
+    form is read by one regex match; any other line by ``json``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trajectory file")
@@ -1075,8 +1100,13 @@ def trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
         )
     initial = _field(header, "initial", lambda v: tuple(map(_INT, _ARRAY(v))), where)
     horizon = _field(header, "horizon", _number, where)
+    match, index = _event_line().fullmatch, {n: space.index_of(n) for n in space.names}
     jumps = []
     for ln in lines[1:]:
+        m = match(ln)
+        if m and m[2] in index:
+            jumps.append((float(m[1]), index[m[2]], int(m[3])))
+            continue
         ev = _load_json(ln)
         ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
         new = _field(ev, "new_state", _INT, "trajectory event")

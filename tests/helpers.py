@@ -1,5 +1,6 @@
 """Shared test machinery: an independent slow-path property checker, a
-rank-space reference evaluator, and random spec/graph generators.
+rank-space reference evaluator, a per-line trajectory JSONL writer and
+reader with line mutations for them, and random spec/graph generators.
 
 The slow checker re-states every property as explicit nested loops over
 subsets with direct oracle queries, deliberately sharing no code with
@@ -11,13 +12,25 @@ per instance, without packed words or listings.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import numpy as np
 
 from ligraph import graphoid
-from ligraph.cfmp import CfmpSpec, ComponentIntensity, ComponentSpace, RateRow
-from ligraph.graphs import DiGraph
+from ligraph.cfmp import (
+    _ARRAY,
+    _INT,
+    _STRING,
+    CfmpSpec,
+    ComponentIntensity,
+    ComponentSpace,
+    RateRow,
+    Trajectory,
+    _field,
+    _number,
+)
+from ligraph.graphs import DiGraph, _load_json
 from ligraph.graphoid import Axiom, DerivedProperty, OracleDomainError
 from ligraph.separation import subsets_by_size
 
@@ -222,6 +235,86 @@ def rank_space_evaluate(table, names, side, rule, guard=None):
         admitted = admitted & x.evaluable
     cells = np.flatnonzero(admitted & premise & ~conclusion)
     return (int(cells[0]) if cells.size else None), int(np.count_nonzero(admitted))
+
+
+def reference_trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:
+    """The trajectory writer as one ``json.dumps`` per line."""
+    header = dict(components=list(space.names), initial=list(traj.initial), horizon=traj.horizon)
+    events = ({"time": t, "component": space.names[k], "new_state": s} for t, k, s in traj.jumps)
+    return "".join(json.dumps(line) + "\n" for line in (header, *events))
+
+
+def reference_trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
+    """The trajectory reader as one ``json.loads`` per line, every field
+    read through the library's ``_field`` converters."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty trajectory file")
+    header = _load_json(lines[0])
+    where = "trajectory header"
+    if tuple(_field(header, "components", _ARRAY, where)) != space.names:
+        raise ValueError(
+            f"trajectory components {header['components']} do not match "
+            f"the spec components {list(space.names)}"
+        )
+    initial = _field(header, "initial", lambda v: tuple(map(_INT, _ARRAY(v))), where)
+    horizon = _field(header, "horizon", _number, where)
+    jumps = []
+    for ln in lines[1:]:
+        ev = _load_json(ln)
+        ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
+        new = _field(ev, "new_state", _INT, "trajectory event")
+        jumps.append((_field(ev, "time", _number, "trajectory event"), ki, new))
+    return Trajectory(space, initial, tuple(jumps), horizon)
+
+
+def event_line_mutations(line: str) -> dict[str, str]:
+    """Variants of one event line written by the trajectory writer: other
+    number spellings, layouts, keys, names and values, and broken lines."""
+    ev = json.loads(line)
+    t, name, s = json.dumps(ev["time"]), json.dumps(ev["component"]), ev["new_state"]
+
+    def event(time=t, comp=name, state=s):
+        return f'{{"time": {time}, "component": {comp}, "new_state": {state}}}'
+
+    escaped = "".join(f"\\u{ord(c):04x}" for c in ev["component"])
+    return {
+        "minus-zero": event(time="-0"),
+        "minus-zero-float": event(time="-0.0"),
+        "negative-time": event(time="-" + t),
+        "upper-exponent": event(time="1E5"),
+        "fraction-exponent": event(time="0.5e-3"),
+        "exponent-spelling": event(time=f"{ev['time']:.17E}"),
+        "long-fraction": event(time=f"{ev['time']:.25f}"),
+        "int-time": event(time="1"),
+        "leading-zero-time": event(time="01"),
+        "leading-zero-state": event(state="01"),
+        "20-digit-time": event(time="1" * 20),
+        "20-digit-state": event(state="1" * 20),
+        "400-digit-time": event(time="9" * 400),
+        "overflowing-time": event(time="1e400"),
+        "non-ascii-digit": event(time="\u0661"),
+        "compact": json.dumps(ev, separators=(",", ":")),
+        "tabs": event().replace(" ", "\t"),
+        "padded": f" {event()} ",
+        "reordered-keys": json.dumps(dict(reversed(ev.items()))),
+        "duplicate-key": '{"time": 0.25, ' + event()[1:],
+        "extra-key": event()[:-1] + ', "x": 1}',
+        "escaped-name": event(comp=f'"{escaped}"'),
+        "non-ascii-name": event(comp='"\u00e9"'),
+        "escaped-non-ascii-name": event(comp='"\\u00e9"'),
+        "control-in-name": event(comp='"c\x01"'),
+        "empty-name": event(comp='""'),
+        "unknown-name": event(comp='"zz"'),
+        "true-time": event(time="true"),
+        "true-state": event(state="true"),
+        "null-state": event(state="null"),
+        "float-state": event(state=f"{s}.0"),
+        "crlf": event() + "\r",
+        "line-separator": event()[:12] + "\u2028" + event()[12:],
+        "trailing-garbage": event() + "x",
+        "open-string": event()[:-1] + ', "x": "',
+    }
 
 
 def random_digraph(labels, rng: random.Random, p: float = 0.35) -> DiGraph:

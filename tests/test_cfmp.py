@@ -10,7 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import random_spec
+from helpers import (
+    event_line_mutations,
+    random_spec,
+    reference_trajectory_from_jsonl,
+    reference_trajectory_to_jsonl,
+)
 from ligraph import cfmp
 from ligraph.cfmp import (
     CfmpSpec,
@@ -890,12 +895,23 @@ def wire_paths(draw):
     return space, initial, tuple(jumps), horizon
 
 
+def read_outcome(read, text, space):
+    """What ``read`` makes of ``text``: the trajectory's fields by repr,
+    or the type and message of the ValueError it raises."""
+    try:
+        traj = read(text, space)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return repr((traj.initial, traj.jumps, traj.horizon))
+
+
 class TestTrajectory:
     @given(path=wire_paths(), data=st.data())
     def test_wire_form_round_trip_and_mutations(self, path, data):
         space, initial, jumps, horizon = path
         traj = Trajectory(space, initial, jumps, horizon)
         text = trajectory_to_jsonl(traj, space)
+        assert text == reference_trajectory_to_jsonl(traj, space)
         back = trajectory_from_jsonl(text, space)
         assert back == traj
         assert trajectory_to_jsonl(back, space) == text
@@ -926,6 +942,69 @@ class TestTrajectory:
         for jump in mutations:
             with pytest.raises(ValueError):
                 Trajectory(space, initial, jumps[:i] + (jump,) + jumps[i + 1 :], horizon)
+        # the same jump's line, respelled or broken, against the per-line reader
+        lines = text.splitlines()
+        for mutated in event_line_mutations(lines[i + 1]).values():
+            changed = "\n".join(lines[: i + 1] + [mutated] + lines[i + 2 :]) + "\n"
+            expected = read_outcome(reference_trajectory_from_jsonl, changed, space)
+            assert read_outcome(trajectory_from_jsonl, changed, space) == expected
+
+    @pytest.mark.parametrize("time", [5e-324, 1e-05, 0.1, 1 / 3, 123456789.125, 1e16, 1.5e300])
+    def test_jsonl_matches_the_reference_on_extreme_times(self, time):
+        space = ComponentSpace(("a", "b"), (2, 3))
+        traj = Trajectory(space, (0, 2), ((time, 1, 0), (2 * time, 0, 1)), 4 * time)
+        text = trajectory_to_jsonl(traj, space)
+        assert text == reference_trajectory_to_jsonl(traj, space)
+        assert read_outcome(trajectory_from_jsonl, text, space) == repr(
+            (traj.initial, traj.jumps, traj.horizon)
+        )
+
+    def test_jsonl_quotes_and_reads_names_as_json_does(self):
+        names = ("\u00e9", 'q"', "\u2028", "a\\b", "", "c\x01", "\x7f")
+        space = ComponentSpace(names, (2,) * len(names))
+        jumps = tuple((1.0 + k, k, 1) for k in range(len(names)))
+        traj = Trajectory(space, (0,) * len(names), jumps, 9.0)
+        text = trajectory_to_jsonl(traj, space)
+        assert text == reference_trajectory_to_jsonl(traj, space)
+        assert trajectory_from_jsonl(text, space) == traj
+        # each name unescaped in the event lines, as a hand-written file may have it
+        header, _, events = text.partition("\n")
+        for name in names:
+            raw = f"{header}\n" + events.replace(json.dumps(name), f'"{name}"')
+            expected = read_outcome(reference_trajectory_from_jsonl, raw, space)
+            assert read_outcome(trajectory_from_jsonl, raw, space) == expected
+
+    @pytest.mark.parametrize(
+        "jump",
+        [
+            pytest.param((True, 0, 1), id="bool-time"),
+            pytest.param((1.0, False, 1), id="bool-component"),
+            pytest.param((1.0, 0, True), id="bool-state"),
+            pytest.param((np.True_, 0, 1), id="numpy-bool-time"),
+            pytest.param((1.0, 0, np.True_), id="numpy-bool-state"),
+        ],
+    )
+    def test_rejects_a_bool_in_a_jump(self, jump):
+        space = ComponentSpace(("a", "b"), (2, 2))
+        with pytest.raises(ValueError, match=r"jump 0 .* holds a bool"):
+            Trajectory(space, (0, 0), (jump, (2.0, 1, 1)), 5.0)
+
+    @pytest.mark.parametrize(
+        "jump, time",
+        [
+            pytest.param((np.float64(1.0), np.int64(0), np.int64(1)), "1.0", id="numpy-scalars"),
+            pytest.param((np.float32(1.5), np.int32(0), np.uint8(1)), "1.5", id="narrow-numpy"),
+            pytest.param((1, 0, 1), "1.0", id="int-time"),
+        ],
+    )
+    def test_keeps_plain_jumps_that_write_and_read_back(self, jump, time):
+        space = ComponentSpace(("a", "b"), (2, 2))
+        traj = Trajectory(space, (0, 0), (jump,), 5.0)
+        assert [tuple(map(type, j)) for j in traj.jumps] == [(float, int, int)]
+        text = trajectory_to_jsonl(traj, space)
+        assert text.splitlines()[1] == f'{{"time": {time}, "component": "a", "new_state": 1}}'
+        assert text == reference_trajectory_to_jsonl(traj, space)
+        assert trajectory_from_jsonl(text, space) == traj
 
     @pytest.mark.parametrize(
         "jump",

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ligraph.separation
+from helpers import event_line_mutations, reference_trajectory_from_jsonl
 from ligraph import cli
+from ligraph.cfmp import simulate, spec_from_json, trajectory_to_jsonl, uniform_distribution
 from ligraph.fixtures import repo_fixture_files
 from ligraph.graphs import DiGraph, GraphError
 
@@ -502,6 +504,29 @@ class TestSimulateEstimate:
         path.write_text("\n".join(lines) + "\n")
         spec = str(FIXTURES / "three_cycle_process.json")
         assert_one_line_error(*run(capsys, "estimate", str(path), "--spec", spec))
+
+
+class TestTrajectoryJsonlBoundary:
+    @pytest.mark.parametrize(
+        "mutation", sorted(event_line_mutations('{"time": 1.0, "component": "a", "new_state": 1}'))
+    )
+    def test_mutated_line_reads_or_fails_in_one_line(self, capsys, tmp_path, mutation):
+        spec_path = FIXTURES / "three_cycle_process.json"
+        spec = spec_from_json(spec_path.read_text())
+        traj = simulate(spec, uniform_distribution(spec.space), 10.0, seed=3)
+        lines = trajectory_to_jsonl(traj, spec.space).splitlines()
+        lines[2] = event_line_mutations(lines[2])[mutation]
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "estimate", str(path), "--spec", str(spec_path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                reference_trajectory_from_jsonl(fh.read(), spec.space)
+        except ValueError as exc:
+            assert_one_line_error(code, out, err)
+            assert err == f"error: {exc}\n"
+        else:
+            assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize(
