@@ -46,7 +46,7 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
   the oracle each distinct triple once (for an ``overlap_reducible``
   oracle such as delta-separation only the reduced triples (A-(B|C), B,
-  C-B)).  When the query is the one ``delta_separation_oracle`` made
+  C-B), reduced by ``separation._reduce_masks``).  When the query is the one ``delta_separation_oracle`` made
   and the ground holds exactly its graph's labels, in any order, the
   distinct triples are instead answered together by the array trail
   procedure of ``separation``; a query replaced by any other callable,
@@ -109,7 +109,8 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .graphs import DiGraph, UGraph, enumerate_digraphs
-from .separation import EnumerationGuardError, _delta_trail_arrays, delta_separates_masks
+from .separation import EnumerationGuardError, _delta_trail_arrays, _reduce_masks
+from .separation import delta_separates_masks
 
 MAX_AXIOM_GROUND = 5
 MAX_SEARCH_GROUND = 4
@@ -335,7 +336,7 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     evaluable = np.ones(t.size**3, dtype=bool)
     query = oracle.query
     if isinstance(query, _DeltaSeparationQuery) and labels == list(query.g.labels):
-        values[flat] = query.masks(*triple)
+        values[flat] = _delta_trail_arrays(query.g, *triple)
     else:
         sets = t.sets
         for at, ma, mb, mc in zip(flat.tolist(), *(m.tolist() for m in triple)):
@@ -356,10 +357,10 @@ def _asked(size: int, overlap_reducible: bool):
     arrays: per cell, the flat index a*S^2 + b*S + c of the triple it
     asks (for an ``overlap_reducible`` oracle the reduced triple); the
     distinct flat indices, ascending; and their masks (a, b, c)."""
-    a, b, c = (_Masks(m) for m in _axes(size, 3))
+    a, b, c = _axes(size, 3)
     if overlap_reducible:
-        a, c = a - (b | c), c - b
-    asked = (a.m * RANK_DTYPE(size * size) + b.m * RANK_DTYPE(size)) + c.m
+        a, b, c = _reduce_masks(a, b, c)
+    asked = (a * RANK_DTYPE(size * size) + b * RANK_DTYPE(size)) + c
     # the distinct ones are found with a mask: np.unique's first call
     # imports numpy.ma, about 1.7 MB of resident memory
     distinct = np.zeros(size**3, dtype=bool)
@@ -927,11 +928,11 @@ def violates(
 
 class _DeltaSeparationQuery:
     """The query of ``delta_separation_oracle``.  A call asks one triple
-    of label sets with ``delta_separates_masks``; ``masks`` answers arrays
-    of mask triples at once with the trail kernel, which
-    ``build_truth_table`` uses.  The kernel belongs to the query, not to
-    the oracle, so an oracle whose query is replaced, such as by a
-    counting wrapper, is asked triple by triple."""
+    of label sets with ``delta_separates_masks``.  ``build_truth_table``
+    recognises this type and answers all its triples at once with the
+    array trail form ``separation._delta_trail_arrays`` on ``g``, as
+    ``all_separations`` does; an oracle whose query is replaced, such as
+    by a counting wrapper, is asked triple by triple."""
 
     __slots__ = ("g",)
 
@@ -939,11 +940,7 @@ class _DeltaSeparationQuery:
         self.g = g
 
     def __call__(self, a: frozenset, b: frozenset, c: frozenset) -> bool:
-        g = self.g
-        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
-
-    def masks(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _delta_trail_arrays(self.g, a, b, c)
+        return delta_separates_masks(self.g, *map(self.g.mask_of, (a, b, c)))
 
 
 def delta_separation_oracle(g: DiGraph) -> IrrelevanceOracle:

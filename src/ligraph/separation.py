@@ -7,8 +7,9 @@ undirected separation.  ``delta_separates_trail`` answers the same
 question by searching for an active allowed trail; the two must agree
 on every input, and that agreement is itself a tested property.
 ``_delta_trail_arrays`` runs the trail search for arrays of mask
-triples at once, in numpy; ``graphoid`` fills delta-separation truth
-tables with it.  Acceptance criterion 2 holds it to both procedures on
+triples at once, in numpy; ``all_separations`` answers its whole
+enumeration with one call of it, and ``graphoid`` fills
+delta-separation truth tables with it.  Acceptance criterion 2 holds it to both procedures on
 every disjoint triple of every 4-node digraph, and
 ``tests/test_separation.py::TestTrailArrays`` to the moral one on
 random overlapping triples of 5- and 6-node digraphs.
@@ -193,8 +194,10 @@ def subsets_by_size(labels: Iterable[str]) -> list[frozenset[str]]:
 
 def all_separations(g: DiGraph, max_cond: int) -> list[SeparationQuery]:
     """Every separated (a, b, c) with a, b nonempty and a, b, c pairwise
-    disjoint, |c| <= max_cond, in deterministic enumeration order.  A
-    ``max_cond`` that is not a non-negative int is a ValueError."""
+    disjoint, |c| <= max_cond, ordered by the ranks of a, b and c in
+    ``subsets_by_size``.  One ``_delta_trail_arrays`` call decides every
+    candidate triple.  A ``max_cond`` that is not a non-negative int is a
+    ValueError."""
     if type(max_cond) is not int or max_cond < 0:
         raise ValueError(f"max_cond must be a non-negative int, not {max_cond!r}")
     if len(g.labels) > MAX_ENUMERATION_NODES:
@@ -203,16 +206,16 @@ def all_separations(g: DiGraph, max_cond: int) -> list[SeparationQuery]:
             f"(limit {MAX_ENUMERATION_NODES})"
         )
     subsets = subsets_by_size(g.labels)
-    found = []
-    for a in subsets:
-        if not a:
-            continue
-        for b in subsets:
-            if not b or (a & b):
-                continue
-            rest = [s for s in subsets if len(s) <= max_cond and not s & (a | b)]
-            for c in rest:
-                q = SeparationQuery(a, b, c)
-                if delta_separates(g, q):
-                    found.append(q)
-    return found
+    masks = np.array([g.mask_of(s) for s in subsets], dtype=np.uint16)
+    # ranks order the subsets by size, so the allowed c's are a prefix
+    c_masks = masks[: sum(len(s) <= max_cond for s in subsets)]
+    ra, rb = np.nonzero((masks[1:, None] & masks[1:]) == 0)
+    ra, rb = ra + 1, rb + 1
+    # row-major, so the triples stay in (rank a, rank b, rank c) order
+    pair, rc = np.nonzero(((masks[ra] | masks[rb])[:, None] & c_masks) == 0)
+    ra, rb = ra[pair], rb[pair]
+    sep = _delta_trail_arrays(g, masks[ra], masks[rb], c_masks[rc])
+    return [
+        SeparationQuery(subsets[i], subsets[j], subsets[k])
+        for i, j, k in zip(ra[sep].tolist(), rb[sep].tolist(), rc[sep].tolist())
+    ]

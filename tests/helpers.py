@@ -1,6 +1,7 @@
 """Shared test machinery: an independent slow-path property checker, a
-rank-space reference evaluator, a per-line trajectory JSONL writer and
-reader with line mutations for them, and random spec/graph generators.
+rank-space reference evaluator, a per-triple ``all_separations`` loop, a
+per-line trajectory JSONL writer and reader with line mutations for
+them, and random spec/graph generators.
 
 The slow checker re-states every property as explicit nested loops over
 subsets with direct oracle queries, deliberately sharing no code with
@@ -32,7 +33,7 @@ from ligraph.cfmp import (
 )
 from ligraph.graphs import DiGraph, _load_json
 from ligraph.graphoid import Axiom, DerivedProperty, OracleDomainError
-from ligraph.separation import subsets_by_size
+from ligraph.separation import SeparationQuery, delta_separates, subsets_by_size
 
 
 def _query_fn(oracle):
@@ -235,6 +236,25 @@ def rank_space_evaluate(table, names, side, rule, guard=None):
         admitted = admitted & x.evaluable
     cells = np.flatnonzero(admitted & premise & ~conclusion)
     return (int(cells[0]) if cells.size else None), int(np.count_nonzero(admitted))
+
+
+def reference_all_separations(g: DiGraph, max_cond: int) -> list[SeparationQuery]:
+    """``all_separations`` as nested loops over ranked subsets, one
+    ``delta_separates`` call per disjoint triple."""
+    subsets = subsets_by_size(g.labels)
+    found = []
+    for a in subsets:
+        if not a:
+            continue
+        for b in subsets:
+            if not b or (a & b):
+                continue
+            rest = [s for s in subsets if len(s) <= max_cond and not s & (a | b)]
+            for c in rest:
+                q = SeparationQuery(a, b, c)
+                if delta_separates(g, q):
+                    found.append(q)
+    return found
 
 
 def reference_trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_digraph
+from helpers import random_digraph, reference_all_separations
 from ligraph.graphs import DiGraph, UnknownNodeError, enumerate_digraphs
 from ligraph.separation import (
     EnumerationGuardError,
@@ -171,6 +171,22 @@ class TestAllSeparations:
         g = DiGraph([f"n{i}" for i in range(7)])
         with pytest.raises(EnumerationGuardError):
             all_separations(g, 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_matches_reference_loop_on_every_small_digraph(self, n):
+        for g in enumerate_digraphs(("a", "b", "c")[:n]):
+            for max_cond in range(5):
+                assert all_separations(g, max_cond) == reference_all_separations(g, max_cond)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_reference_loop_on_random_digraphs(self, n):
+        rng = random.Random(n)
+        labels = [f"v{i}" for i in range(n)]
+        for p in (0.1, 0.25, 0.4, 0.6):
+            for _ in range(5):
+                g = random_digraph(labels, rng, p)
+                for max_cond in (0, 1, n):
+                    assert all_separations(g, max_cond) == reference_all_separations(g, max_cond)
 
     @pytest.mark.parametrize("max_cond", ["2", None, -1, 2.5, True])
     def test_rejects_bad_max_cond(self, cycle3, max_cond):
