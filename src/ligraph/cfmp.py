@@ -58,7 +58,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .graphs import DiGraph, UnknownNodeError, _check_label, _load_json
+from .graphs import DiGraph, UnknownNodeError, _check_count, _check_label, _collection, _is_int
+from .graphs import _load_json
 from .graphoid import IrrelevanceOracle, OracleDomainError
 
 MAX_PRODUCT_STATES = 4096
@@ -99,16 +100,24 @@ class NonCoveringQueryError(ValueError):
 
 @dataclass(frozen=True)
 class ComponentSpace:
-    """Ordered components with their state-space cardinalities."""
+    """Ordered components with their state-space cardinalities: distinct
+    string names and positive int cards (numpy ints are ints, a bool is
+    not), one per name; anything else is a ValueError."""
 
     names: tuple[str, ...]
     cards: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "cards", tuple(int(c) for c in self.cards))
-        if len(self.names) != len(self.cards):
+        names = _collection(self.names, "component names", "collection of names")
+        cards = _collection(self.cards, "cardinalities", "collection of ints")
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError(f"component names must be distinct strings, got {list(names)}")
+        if not all(_is_int(c) and c > 0 for c in cards):
+            raise ValueError(f"cardinalities must be positive ints, got {list(cards)}")
+        if len(names) != len(cards):
             raise ValueError("names and cardinalities differ in length")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "cards", tuple(map(int, cards)))
 
     @property
     def n_states(self) -> int:
@@ -259,8 +268,6 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
     errors: list[str] = []
     space = spec.space
     names = space.names
-    if len(names) != len(set(names)):
-        errors.append("component names must be unique")
     for name in names:
         try:
             _check_label(name)
@@ -271,6 +278,9 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
     for name, card in zip(names, space.cards):
         if card < 2:
             errors.append(f"{name}: state count must be >= 2 (got {card})")
+    unknown = [key for key in spec.intensities if key not in names]
+    if unknown:
+        errors.append(f"intensity tables for unknown components: {unknown}")
     if errors:
         return errors
     if space.n_states > MAX_PRODUCT_STATES:
@@ -302,7 +312,17 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
         # overflow to inf without a numpy warning
         out_rates: dict[tuple, float] = {}
         for row in ci.rows:
-            cell = f"{name}: given={dict(zip(deps, row.given))} from={row.source} to={row.target}"
+            given = dict(zip(deps, row.given)) if isinstance(row.given, tuple) else row.given
+            cell = f"{name}: given={given} from={row.source} to={row.target}"
+            if not isinstance(row.given, tuple):
+                errors.append(f"{cell}: configuration must be a tuple")
+                continue
+            if not all(map(_is_int, (*row.given, row.source, row.target))):
+                errors.append(f"{cell}: configuration values and states must be ints")
+                continue
+            if not _real(row.rate):
+                errors.append(f"{cell}: rate must be a real number, got {row.rate!r}")
+                continue
             if len(row.given) != len(deps):
                 errors.append(f"{cell}: configuration does not match depends_on")
                 continue
@@ -426,12 +446,7 @@ def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> fr
     would be read as its characters, or any other value that is not a
     collection of names is a ValueError, and an unknown name an
     UnknownNodeError."""
-    if isinstance(names, str):
-        raise ValueError(f"{what} must be a collection of names, not the string {names!r}")
-    try:
-        names = frozenset(names)
-    except TypeError:
-        raise ValueError(f"{what} must be a collection of names, not {names!r}") from None
+    names = frozenset(_collection(names, what))
     for name in names:
         space.index_of(name)
     return names
@@ -831,19 +846,14 @@ def simulate_batch(
     """Independent trajectories with per-trajectory seeds seed + index.
     ``seed`` and ``count`` must be integers >= 0 and ``horizon`` a
     positive finite real number; a bool is neither."""
-    _check_natural(seed, "seed")
-    _check_natural(count, "count")
+    _check_count(seed, "seed")
+    _check_count(count, "count")
     comp = spec._compiled
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
     _check_means(float(comp.exit_rate.max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
     pi = _check_distribution(spec.space, pi)
     return [_sample(spec, pi, horizon, seed + i) for i in range(count)]
-
-
-def _check_natural(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
 
 
 def _sample(spec: CfmpSpec, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:

@@ -108,7 +108,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .graphs import DiGraph, UGraph, enumerate_digraphs
+from .graphs import DiGraph, UGraph, _check_count, _collection, enumerate_digraphs
 from .separation import EnumerationGuardError, _delta_trail_arrays, _reduce_masks
 from .separation import delta_separates_masks
 
@@ -318,7 +318,7 @@ class TruthTable:
 
 
 def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
-    ground = tuple(oracle.ground)
+    ground = _collection(oracle.ground, "ground")
     if len(ground) > MAX_AXIOM_GROUND:
         raise EnumerationGuardError(
             f"refusing axiom enumeration over {len(ground)} ground elements "
@@ -906,12 +906,7 @@ def violates(
     ground = frozenset(oracle.ground)
     given = {}
     for name, value in sets.items():
-        if isinstance(value, str):
-            raise ValueError(f"{name} must be a set of labels, not the string {value!r}")
-        try:
-            given[name] = frozenset(value)
-        except TypeError:
-            raise ValueError(f"{name} must be a set of labels, not {value!r}") from None
+        given[name] = frozenset(_collection(value, name))
         outside = sorted(given[name] - ground, key=str)
         if outside:
             raise ValueError(f"{name} has labels outside the ground: {outside}")
@@ -940,7 +935,8 @@ class _DeltaSeparationQuery:
         self.g = g
 
     def __call__(self, a: frozenset, b: frozenset, c: frozenset) -> bool:
-        return delta_separates_masks(self.g, *map(self.g.mask_of, (a, b, c)))
+        g = self.g
+        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
 
 
 def delta_separation_oracle(g: DiGraph) -> IrrelevanceOracle:
@@ -964,7 +960,7 @@ def undirected_separation_oracle(h: UGraph) -> IrrelevanceOracle:
 
 
 def constant_oracle(ground, value: bool = True) -> IrrelevanceOracle:
-    ground = tuple(sorted(set(ground)))
+    ground = tuple(sorted(set(_collection(ground, "ground"))))
     return IrrelevanceOracle(
         ground=ground, query=lambda a, b, c: value, name=f"constant-{value}"
     )
@@ -993,8 +989,7 @@ def find_right_decomposition_counterexample(
     by check_axiom instead.  A ``ground_size`` that is not a
     non-negative int is a ValueError.
     """
-    if type(ground_size) is not int or ground_size < 0:
-        raise ValueError(f"ground_size must be a non-negative int, not {ground_size!r}")
+    _check_count(ground_size, "ground_size")
     if ground_size > MAX_SEARCH_GROUND:
         raise EnumerationGuardError(
             f"refusing graph search over {ground_size} nodes "

@@ -14,6 +14,7 @@ millions of queries; the public API speaks frozensets of labels.
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Iterable, Iterator
 
 
@@ -38,6 +39,33 @@ def _check_label(label) -> str:
             f"or backslashes: {label!r}"
         )
     return label
+
+
+def _collection(value, what: str, kind: str = "set of labels", size: int | None = None) -> tuple:
+    """``value``'s members as a tuple.  A string, which would be read as
+    its characters, a value that is not a collection and, when ``size``
+    is given, one with another number of members are each a GraphError."""
+    if not isinstance(value, str):
+        try:
+            members = tuple(value)
+        except TypeError:
+            pass
+        else:
+            if size is None or len(members) == size:
+                return members
+    shown = f"the string {value!r}" if isinstance(value, str) else repr(value)
+    raise GraphError(f"{what} must be a {kind}, not {shown}")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int, numpy ints included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(value, what: str) -> None:
+    """A ValueError unless ``value`` is an int (``_is_int``) >= 0."""
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{what} must be a non-negative int, not {value!r}")
 
 
 def _load_json(text: str):
@@ -72,7 +100,7 @@ class _Graph:
         GraphError.  Check that each edge's endpoints exist and differ,
         and read it as directed: give the edge set and each node's out-
         and in-neighbour masks."""
-        nodes = [_check_label(n) for n in nodes]
+        nodes = [_check_label(n) for n in _collection(nodes, "nodes")]
         self.labels = labels = tuple(sorted(set(nodes)))
         if len(labels) != len(nodes):
             raise GraphError(f"repeated node labels: {nodes!r}")
@@ -80,7 +108,10 @@ class _Graph:
         out = [0] * len(labels)
         into = [0] * len(labels)
         seen = set()
-        for j, k in edges:
+        for edge in _collection(edges, "edges", "collection of pairs"):
+            if type(edge) is not tuple or len(edge) != 2:
+                edge = _collection(edge, "an edge", "pair of labels", 2)
+            j, k = edge
             if j not in index:
                 raise UnknownNodeError(j)
             if k not in index:
@@ -107,6 +138,8 @@ class _Graph:
         return f"{type(self).__name__}({list(self.labels)}, [{es}])"
 
     def mask_of(self, names: Iterable[str]) -> int:
+        if type(names) is not frozenset:
+            names = _collection(names, "a node set")
         m = 0
         for name in names:
             i = self._index.get(name)

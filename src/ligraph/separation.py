@@ -25,6 +25,8 @@ import numpy as np
 from .graphs import (
     DiGraph,
     GraphError,
+    _check_count,
+    _collection,
     _iter_bits,
     moral_adjacency,
     u_separated_masks,
@@ -42,7 +44,9 @@ class SeparationQuery:
     """Query "c separates a from b": is the past of ``a`` irrelevant for
     predicting the present of ``b`` once the past of ``c`` is known?
 
-    The three sets may overlap; evaluation reduces them first.
+    The three sets may overlap; evaluation reduces them first.  Each is
+    kept as a frozenset; a string or a value that is not a collection is
+    a GraphError.
     """
 
     a: frozenset[str]
@@ -50,9 +54,10 @@ class SeparationQuery:
     c: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", frozenset(self.a))
-        object.__setattr__(self, "b", frozenset(self.b))
-        object.__setattr__(self, "c", frozenset(self.c))
+        for name in "abc":
+            value = getattr(self, name)
+            if type(value) is not frozenset:
+                object.__setattr__(self, name, frozenset(_collection(value, name)))
 
     def reduced(self) -> "SeparationQuery":
         return SeparationQuery(self.a - (self.b | self.c), self.b, self.c - self.b)
@@ -196,10 +201,9 @@ def all_separations(g: DiGraph, max_cond: int) -> list[SeparationQuery]:
     """Every separated (a, b, c) with a, b nonempty and a, b, c pairwise
     disjoint, |c| <= max_cond, ordered by the ranks of a, b and c in
     ``subsets_by_size``.  One ``_delta_trail_arrays`` call decides every
-    candidate triple.  A ``max_cond`` that is not a non-negative int is a
-    ValueError."""
-    if type(max_cond) is not int or max_cond < 0:
-        raise ValueError(f"max_cond must be a non-negative int, not {max_cond!r}")
+    candidate triple.  A ``max_cond`` that is not a non-negative int
+    (numpy ints are ints, a bool is not) is a ValueError."""
+    _check_count(max_cond, "max_cond")
     if len(g.labels) > MAX_ENUMERATION_NODES:
         raise EnumerationGuardError(
             f"refusing to enumerate separations on {len(g.labels)} nodes "

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -251,10 +252,73 @@ class TestValidation:
             ]
             assert validate_spec(binary_pair(rate_x=huge, rate_y=(0.0, 0.0))) == []
 
+    # a bool would index the dense rate table as a mask and a bool rate
+    # read as 1.0; the other bad cells would raise inside compilation
+    @pytest.mark.parametrize("row, match", [
+        (RateRow((), True, 0, 3.0), "from=True to=0: configuration values and states must be ints"),
+        (RateRow((), 0, np.bool_(1), 3.0), "to=True: configuration values and states must be ints"),
+        (RateRow((), 0.0, 1, 1.0), "from=0.0 to=1: configuration values and states must be ints"),
+        (RateRow([], 0, 1, 1.0), "given=\\[\\] from=0 to=1: configuration must be a tuple"),
+        (RateRow((), 0, 1, True), "rate must be a real number, got True"),
+        (RateRow((), 0, 1, "1.0"), "rate must be a real number, got '1.0'"),
+        (RateRow((), 0, 1, None), "rate must be a real number, got None"),
+    ])
+    def test_bad_cell_types_reported(self, row, match):
+        x = ComponentIntensity((), (row, RateRow((), 1, 0, 1.0)))
+        spec = binary_pair()
+        spec = CfmpSpec(spec.space, {**spec.intensities, "x": x})
+        errors = validate_spec(spec)
+        assert any(re.search(match, e) and e.startswith("x: ") for e in errors), errors
+        with pytest.raises(SpecValidationError):
+            build_generator(spec)
+
+    def test_bool_configuration_value_reported(self):
+        spec = binary_pair(y_deps=("x",))
+        rows = [RateRow((True,) if r.given == (1,) else r.given, r.source, r.target, r.rate)
+                for r in spec.intensities["y"].rows]
+        spec = CfmpSpec(spec.space, {**spec.intensities, "y": ComponentIntensity(("x",), tuple(rows))})
+        assert any("given={'x': True}" in e and "must be ints" in e for e in validate_spec(spec))
+
+    def test_numpy_scalar_cells_accepted(self):
+        rows = (RateRow((), np.int64(0), np.int64(1), np.float64(2.0)), RateRow((), 1, 0, 1))
+        spec = binary_pair()
+        spec = CfmpSpec(spec.space, {**spec.intensities, "x": ComponentIntensity((), rows)})
+        assert validate_spec(spec) == []
+        assert build_generator(spec).matrix[0, 2] == 2.0
+
+    def test_unknown_intensity_key_reported(self):
+        spec = binary_pair()
+        spec = CfmpSpec(spec.space, {**spec.intensities, "z": spec.intensities["x"]})
+        assert validate_spec(spec) == ["intensity tables for unknown components: ['z']"]
+
     def test_operations_refuse_invalid_spec(self):
         spec = binary_pair(rate_x=(-1.0, 1.0))
         with pytest.raises(SpecValidationError):
             build_generator(spec)
+
+
+class TestComponentSpace:
+    def test_keeps_names_and_int_cards(self):
+        sp = ComponentSpace(["x", "y"], (1, np.int64(3)))
+        assert sp.names == ("x", "y") and sp.cards == (1, 3)
+        assert all(type(c) is int for c in sp.cards)
+
+    # a repeated name would make a trajectory read back other than it
+    # was written; the cards would otherwise be truncated or coerced
+    @pytest.mark.parametrize("names, cards, match", [
+        (("a", "a"), (2, 2), "distinct strings"),
+        (("a", 1), (2, 2), "distinct strings"),
+        ("ab", (2, 2), "the string 'ab'"),
+        (None, (2, 2), "not None"),
+        (("a", "b"), (2.7, 2), "positive ints"),
+        (("a", "b"), (True, 2), "positive ints"),
+        (("a", "b"), ("2", 2), "positive ints"),
+        (("a", "b"), (0, 2), "positive ints"),
+        (("a", "b"), (2,), "differ in length"),
+    ])
+    def test_rejects_bad_names_or_cards(self, names, cards, match):
+        with pytest.raises(ValueError, match=match):
+            ComponentSpace(names, cards)
 
 
 class TestCompiledOnce:
@@ -756,7 +820,7 @@ class TestSimulate:
         batch = simulate_batch(cycle3_spec, pi, 10.0, seed=100, count=3)
         assert batch[1] == simulate(cycle3_spec, pi, 10.0, seed=101)
 
-    @pytest.mark.parametrize("count", [-1, 1.0, True, "2"])
+    @pytest.mark.parametrize("count", [-1, 1.0, True, "2", np.int64(-1), np.bool_(True)])
     def test_batch_rejects_bad_count(self, cycle3_spec, count):
         pi = uniform_distribution(cycle3_spec.space)
         with pytest.raises(ValueError, match="count"):

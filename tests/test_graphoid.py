@@ -108,6 +108,14 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="ground labels must hash and sort"):
             check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
 
+    def test_string_ground_rejected(self):
+        # a string would be read as its characters
+        with pytest.raises(ValueError, match="ground .* the string 'abc'"):
+            constant_oracle("abc")
+        oracle = IrrelevanceOracle(ground="ab", query=lambda a, b, c: True)
+        with pytest.raises(ValueError, match="ground .* the string 'ab'"):
+            build_truth_table(oracle)
+
     def test_table_from_another_ground_rejected(self):
         # a 3-node table read as a 4-node oracle's would check 12^3 cells
         oracle = constant_oracle(tuple("abcd"))
@@ -157,12 +165,12 @@ class TestInputValidation:
             violates(oracle, Axiom.RIGHT_REDUNDANCY, {"A": frozenset("a"), "C": frozenset()})
         # a string would be read as the set of its characters
         with pytest.raises(ValueError, match="not the string 'ab'"):
-            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": "ab"})
+            violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": "ab"})
         # a label the oracle does not know, and a value that is no set
         with pytest.raises(ValueError, match="A has labels outside the ground: \\['z'\\]"):
-            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": {"z"}})
+            violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": {"z"}})
         with pytest.raises(ValueError, match="A must be a set of labels, not 5"):
-            violates(constant_oracle("ab", False), Axiom.LEFT_REDUNDANCY, {"A": 5})
+            violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": 5})
 
     def test_violates_reads_missing_keys_as_empty(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))
@@ -926,7 +934,12 @@ class TestRightDecompositionWitnesses:
         with pytest.raises(EnumerationGuardError):
             find_right_decomposition_counterexample(5)
 
-    @pytest.mark.parametrize("ground_size", [-1, 2.0, True, "3", None])
+    def test_ground_size_may_be_a_numpy_int(self):
+        assert find_right_decomposition_counterexample(np.int64(2)) == (
+            find_right_decomposition_counterexample(2)
+        )
+
+    @pytest.mark.parametrize("ground_size", [-1, 2.0, True, "3", None, np.int64(-1), np.bool_(1)])
     def test_ground_size_must_be_a_non_negative_int(self, ground_size):
         # -1 would slice ("a", "b", "c", "d") to three labels
         with pytest.raises(ValueError, match="non-negative int"):

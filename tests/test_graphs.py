@@ -51,6 +51,28 @@ class TestConstruction:
             with pytest.raises(GraphError, match="double quotes or backslashes"):
                 UGraph([label])
 
+    # a bare string would be read as the set of its characters
+    @pytest.mark.parametrize("call, match", [
+        (lambda: DiGraph("ab"), "nodes .* the string 'ab'"),
+        (lambda: UGraph(5), "nodes .* not 5"),
+        (lambda: DiGraph(["a", "b"], ["ab"]), "edge .* the string 'ab'"),
+        (lambda: DiGraph(["a", "b"], [("a", "b", "a")]), "edge must be a pair"),
+        (lambda: DiGraph(["a", "b"], None), "edges .* not None"),
+        (lambda: DiGraph(["b", "c"]).parents("b"), "the string 'b'"),
+        (lambda: DiGraph(["b", "c"]).ancestral_set("bc"), "the string 'bc'"),
+        (lambda: DiGraph(["a", "b"]).induced_subgraph("ab"), "the string 'ab'"),
+        (lambda: DiGraph(["a", "b"]).delete_out_edges(None), "not None"),
+        (lambda: UGraph(["a", "b"]).u_separated("a", "b", ""), "the string 'a'"),
+    ])
+    def test_rejects_a_string_or_non_collection_as_a_set(self, call, match):
+        with pytest.raises(GraphError, match=match):
+            call()
+
+    def test_takes_any_collection_of_labels(self):
+        g = DiGraph(("a", "b"), {("a", "b")})
+        assert g.parents(x for x in ["b"]) == {"a"}
+        assert g.ancestral_set({"b": 1}.keys()) == {"a", "b"}
+
     def test_two_cycle_allowed(self):
         g = DiGraph.from_edges([("a", "b"), ("b", "a")])
         assert g.edges == {("a", "b"), ("b", "a")}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_digraph, reference_all_separations
-from ligraph.graphs import DiGraph, UnknownNodeError, enumerate_digraphs
+from ligraph.graphs import DiGraph, GraphError, UnknownNodeError, enumerate_digraphs
 from ligraph.separation import (
     EnumerationGuardError,
     SeparationQuery,
@@ -101,6 +101,24 @@ class TestTrailArrays:
         assert answers == {False, True}
 
 
+class TestQuery:
+    def test_keeps_each_set_as_a_frozenset(self):
+        fs = frozenset("a")
+        query = SeparationQuery(fs, ["b", "c"], ())
+        assert query.a is fs and query.b == {"b", "c"} and query.c == frozenset()
+        assert all(type(s) is frozenset for s in (query.a, query.b, query.c))
+
+    @pytest.mark.parametrize("sets, match", [
+        (("a", "bc", ""), "a must be a set of labels, not the string 'a'"),
+        ((["a"], "bc", ()), "b must be a set of labels, not the string 'bc'"),
+        ((None, ["b"], ()), "a must be a set of labels, not None"),
+        ((["a"], ["b"], 3), "c must be a set of labels, not 3"),
+    ])
+    def test_rejects_a_string_or_non_collection(self, sets, match):
+        with pytest.raises(GraphError, match=match):
+            SeparationQuery(*sets)
+
+
 class TestReduction:
     def test_reduced_query(self):
         query = q("a b c", "b", "b c d")
@@ -188,7 +206,10 @@ class TestAllSeparations:
                 for max_cond in (0, 1, n):
                     assert all_separations(g, max_cond) == reference_all_separations(g, max_cond)
 
-    @pytest.mark.parametrize("max_cond", ["2", None, -1, 2.5, True])
+    def test_takes_a_numpy_int_max_cond(self, cycle3):
+        assert all_separations(cycle3, np.int64(1)) == all_separations(cycle3, 1)
+
+    @pytest.mark.parametrize("max_cond", ["2", None, -1, 2.5, True, np.bool_(True), np.int64(-1)])
     def test_rejects_bad_max_cond(self, cycle3, max_cond):
         with pytest.raises(ValueError, match="max_cond must be a non-negative int"):
             all_separations(cycle3, max_cond)
