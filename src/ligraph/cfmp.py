@@ -217,7 +217,7 @@ def _array(values, kinds: str, what: str) -> np.ndarray:
 
 def _real(value) -> bool:
     """Whether ``value`` is a real number; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _check_path(space: ComponentSpace, initial, jumps, horizon):
@@ -312,38 +312,13 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
         # overflow to inf without a numpy warning
         out_rates: dict[tuple, float] = {}
         for row in ci.rows:
-            given = dict(zip(deps, row.given)) if isinstance(row.given, tuple) else row.given
-            cell = f"{name}: given={given} from={row.source} to={row.target}"
-            if not isinstance(row.given, tuple):
-                errors.append(f"{cell}: configuration must be a tuple")
-                continue
-            if not all(map(_is_int, (*row.given, row.source, row.target))):
-                errors.append(f"{cell}: configuration values and states must be ints")
-                continue
-            if not _real(row.rate):
-                errors.append(f"{cell}: rate must be a real number, got {row.rate!r}")
-                continue
-            if len(row.given) != len(deps):
-                errors.append(f"{cell}: configuration does not match depends_on")
-                continue
-            if any(not (0 <= v < c) for v, c in zip(row.given, dep_cards)):
-                errors.append(f"{cell}: configuration value out of range")
-                continue
-            if not (0 <= row.source < card and 0 <= row.target < card):
-                errors.append(f"{cell}: state out of range")
-                continue
-            if row.source == row.target:
-                errors.append(f"{cell}: source and target must differ")
-                continue
-            if not math.isfinite(row.rate):
-                errors.append(f"{cell}: rate must be finite, got {row.rate}")
-                continue
-            if row.rate < 0:
-                errors.append(f"{cell}: negative rate {row.rate}")
-                continue
-            key = (row.given, row.source, row.target)
+            why = _cell_error(row, dep_cards, card)
+            key = None if why else (row.given, row.source, row.target)
             if key in seen:
-                errors.append(f"{cell}: duplicate table cell")
+                why = "duplicate table cell"
+            if why:
+                given = dict(zip(deps, row.given)) if isinstance(row.given, tuple) else row.given
+                errors.append(f"{name}: given={given} from={row.source} to={row.target}: {why}")
                 continue
             seen[key] = row.rate
             out = (row.given, row.source)
@@ -360,6 +335,29 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
     if not math.isfinite(top_exit_rate):
         errors.append("the largest possible total exit rate overflows; scale the rates down")
     return errors
+
+
+def _cell_error(row: RateRow, dep_cards: list[int], card: int) -> str | None:
+    """What is wrong with one rate-table cell on its own, or None."""
+    if not isinstance(row.given, tuple):
+        return "configuration must be a tuple"
+    if not all(map(_is_int, (*row.given, row.source, row.target))):
+        return "configuration values and states must be ints"
+    if not _real(row.rate):
+        return f"rate must be a real number, got {row.rate!r}"
+    if len(row.given) != len(dep_cards):
+        return "configuration does not match depends_on"
+    if any(not (0 <= v < c) for v, c in zip(row.given, dep_cards)):
+        return "configuration value out of range"
+    if not (0 <= row.source < card and 0 <= row.target < card):
+        return "state out of range"
+    if row.source == row.target:
+        return "source and target must differ"
+    if not math.isfinite(row.rate):
+        return f"rate must be finite, got {row.rate}"
+    if row.rate < 0:
+        return f"negative rate {row.rate}"
+    return None
 
 
 def ensure_valid(spec: CfmpSpec) -> None:

@@ -59,7 +59,10 @@ def _collection(value, what: str, kind: str = "set of labels", size: int | None 
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an int, numpy ints included; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the type test first: an ABC isinstance costs about ten times more
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _check_count(value, what: str) -> None:
