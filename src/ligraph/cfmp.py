@@ -217,7 +217,9 @@ def _array(values, kinds: str, what: str) -> np.ndarray:
 
 def _real(value) -> bool:
     """Whether ``value`` is a real number; a bool is not one."""
-    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
 
 
 def _check_path(space: ComponentSpace, initial, jumps, horizon):

@@ -46,14 +46,14 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
   the oracle each distinct triple once (for an ``overlap_reducible``
   oracle such as delta-separation only the reduced triples (A-(B|C), B,
-  C-B), reduced by ``separation._reduce_masks``).  When the query is the one ``delta_separation_oracle`` made
-  and the ground holds exactly its graph's labels, in any order, the
-  distinct triples are instead answered together by the array trail
-  procedure of ``separation``; a query replaced by any other callable,
-  such as a counting wrapper, is asked triple by triple.  The table
-  packs the answers, per slot, into S-bit words (S = 2^n
-  subsets; uint8 up to S = 8, then uint16 and uint32) whose bit r is the
-  triple with rank r in that slot.  Every other set is an array of
+  C-B) of ``separation._reduce_masks``).  When the query is the one
+  ``delta_separation_oracle`` made and the ground holds exactly its
+  graph's labels, in any order, the distinct triples are instead
+  answered together by the array trail procedure of ``separation``; a
+  query replaced by any other callable, such as a counting wrapper, is
+  asked triple by triple.  The table packs the answers, per slot, into
+  S-bit words (S = 2^n subsets; uint8 up to S = 8, then uint16 and
+  uint32) whose bit r is the triple with rank r in that slot.  Every other set is an array of
   subset masks, bit i for the i-th label in sorted order, and the set
   operators are bitwise; ranks serve only as the bit order of a word and
   as lattice positions.  A query is then one gather of words at the

@@ -9,8 +9,8 @@ on every input, and that agreement is itself a tested property.
 ``_delta_trail_arrays`` runs the trail search for arrays of mask
 triples at once, in numpy; ``all_separations`` answers its whole
 enumeration with one call of it, and ``graphoid`` fills
-delta-separation truth tables with it.  Acceptance criterion 2 holds it to both procedures on
-every disjoint triple of every 4-node digraph, and
+delta-separation truth tables with it.  Acceptance criterion 2 holds it
+to both procedures on every disjoint triple of every 4-node digraph, and
 ``tests/test_separation.py::TestTrailArrays`` to the moral one on
 random overlapping triples of 5- and 6-node digraphs.
 """
