@@ -50,7 +50,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -59,7 +58,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import DiGraph, UnknownNodeError, _check_count, _check_label, _collection, _is_int
-from .graphs import _load_json
+from .graphs import _ARRAY, _INT, _OBJECT, _STRING, _field, _load_json, _number, _real, _strings
 from .graphoid import IrrelevanceOracle, OracleDomainError
 
 MAX_PRODUCT_STATES = 4096
@@ -215,13 +214,6 @@ def _array(values, kinds: str, what: str) -> np.ndarray:
     return out.astype(float if "f" in kinds else int)
 
 
-def _real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is not one."""
-    return type(value) is float or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
-
-
 def _check_path(space: ComponentSpace, initial, jumps, horizon):
     """The one check of a trajectory: a positive finite horizon, jump
     times strictly increasing within (0, horizon], integer components
@@ -362,12 +354,6 @@ def _cell_error(row: RateRow, dep_cards: list[int], card: int) -> str | None:
     return None
 
 
-def ensure_valid(spec: CfmpSpec) -> None:
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
-
-
 class _Compiled:
     """A valid spec's transition structure, built once per spec and laid
     out once per product state.
@@ -392,7 +378,9 @@ class _Compiled:
     cumsum."""
 
     def __init__(self, spec: CfmpSpec):
-        ensure_valid(spec)
+        errors = validate_spec(spec)
+        if errors:
+            raise SpecValidationError(errors)
         space = spec.space
         n = space.n_states
         self.grid = grid = np.stack(np.unravel_index(np.arange(n), space.cards), axis=1)
@@ -435,8 +423,13 @@ class _Compiled:
 # --- constancy checks and graph derivation ------------------------------------
 
 
-def _constant(rates: np.ndarray, axes: tuple[int, ...]) -> bool:
-    """True iff the rates do not vary, up to RATE_CONSTANCY_RTOL, along ``axes``."""
+def _constant_in(spec: CfmpSpec, component: str, sources) -> bool:
+    """True iff the component's rates do not vary, up to
+    RATE_CONSTANCY_RTOL, with the states of its declared dependencies in
+    ``sources``."""
+    deps = spec.intensities[component].depends_on
+    axes = tuple(i for i, d in enumerate(deps) if d in sources)
+    rates = spec._compiled.rates[component]
     lo, hi = rates.min(axis=axes), rates.max(axis=axes)
     return bool(np.all(hi - lo <= RATE_CONSTANCY_RTOL * np.maximum(abs(lo), abs(hi))))
 
@@ -455,23 +448,21 @@ def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> fr
 def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str]) -> bool:
     """True iff the component's rate table is constant in every declared
     dependency outside ``keep`` (i.e. it factors through ``keep``)."""
-    rates = spec._compiled.rates
+    spec._compiled  # validates the spec, once
     spec.space.index_of(component)
     keep = _component_set(spec.space, keep, "keep")
-    dropped = tuple(
-        i for i, d in enumerate(spec.intensities[component].depends_on) if d not in keep
-    )
-    return _constant(rates[component], dropped)
+    return _constant_in(spec, component, set(spec.space.names) - keep)
 
 
 def is_locally_independent(spec: CfmpSpec, source: str, target: str) -> bool:
     """True iff the target component's intensity is constant in the
     source component's state (a declared dependency may still be vacuous)."""
+    spec._compiled  # validates the spec, once
     if source == target:
         raise ValueError(f"source and target must differ (got {source!r})")
     spec.space.index_of(source)
-    deps = set(spec.intensities[target].depends_on) if target in spec.intensities else set()
-    return component_depends_only_on(spec, target, deps - {source})
+    spec.space.index_of(target)
+    return _constant_in(spec, target, (source,))
 
 
 def set_locally_independent(
@@ -493,21 +484,16 @@ def set_locally_independent(
             "sources, targets and given must partition the component set; "
             "use delta-separation on the derived graph for other queries"
         )
-    return all(
-        component_depends_only_on(
-            spec, j, set(spec.intensities[j].depends_on) - b
-        )
-        for j in a
-    )
+    return all(_constant_in(spec, j, b) for j in a)
 
 
 def _declared_dependencies(spec: CfmpSpec) -> list[tuple[str, str, bool]]:
     """Every declared dependency (j, k) with whether it is vacuous."""
-    rates = spec._compiled.rates
+    spec._compiled  # validates the spec, once
     return [
-        (j, k, _constant(rates[k], (axis,)))
+        (j, k, _constant_in(spec, k, (j,)))
         for k in spec.space.names
-        for axis, j in enumerate(spec.intensities[k].depends_on)
+        for j in spec.intensities[k].depends_on
     ]
 
 
@@ -756,9 +742,7 @@ def ci_decay(
     cond = _component_set(space, cond, "cond")
     if source == target or source in cond:
         raise ValueError("source must be outside the conditioning set and target")
-    if isinstance(hs, (str, bytes)) or not isinstance(hs, Iterable):
-        raise ValueError(f"window lengths must be a sequence of real numbers, got {hs!r}")
-    hs = tuple(hs)
+    hs = _collection(hs, "window lengths", "sequence of real numbers")
     if not all(map(_real, hs)) or any(not (MIN_H <= h < math.inf) for h in hs) or any(
         hs[i] <= hs[i + 1] for i in range(len(hs) - 1)
     ):
@@ -998,41 +982,6 @@ def spec_to_json_dict(spec: CfmpSpec) -> dict:
     return {"components": comps, "intensities": intens}
 
 
-def _field(obj, key: str, convert, where: str, default=None):
-    """``convert(obj[key])``, or ``default`` when the key is absent and a
-    default is given; a missing required key or a bad value is a
-    ValueError."""
-    if not isinstance(obj, dict) or (key not in obj and default is None):
-        raise ValueError(f"{where} must be an object with {key!r}")
-    if key not in obj:
-        return default
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: bad {key!r}: {obj[key]!r}") from None
-
-
-def _json(*types):
-    """A converter accepting only JSON values of ``types``; a boolean is
-    never an integer or a number."""
-
-    def convert(value):
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeError(value)
-        return value
-
-    return convert
-
-
-_INT, _NUMBER, _STRING, _ARRAY, _OBJECT = (
-    _json(int), _json(int, float), _json(str), _json(list), _json(dict)
-)
-
-
-def _number(value) -> float:
-    return float(_NUMBER(value))
-
-
 def spec_from_json_dict(data: dict) -> CfmpSpec:
     comps = _field(data, "components", _ARRAY, "process spec JSON")
     names = [_field(c, "name", _STRING, f"component {i}") for i, c in enumerate(comps)]
@@ -1045,7 +994,7 @@ def spec_from_json_dict(data: dict) -> CfmpSpec:
     intensities = {}
     for name in names:
         entry = _field(intens_data, name, _OBJECT, "'intensities'", {})
-        deps = _field(entry, "depends_on", lambda v: tuple(map(_STRING, _ARRAY(v))), name, ())
+        deps = _field(entry, "depends_on", _strings, name, ())
         rows = []
         for raw in _field(entry, "table", _ARRAY, name, ()):
             where = f"{name}: rate table row"

@@ -43,9 +43,10 @@ def _check_label(label) -> str:
 
 def _collection(value, what: str, kind: str = "set of labels", size: int | None = None) -> tuple:
     """``value``'s members as a tuple.  A string, which would be read as
-    its characters, a value that is not a collection and, when ``size``
-    is given, one with another number of members are each a GraphError."""
-    if not isinstance(value, str):
+    its characters, bytes, a value that is not a collection and, when
+    ``size`` is given, one with another number of members are each a
+    GraphError."""
+    if not isinstance(value, (str, bytes)):
         try:
             members = tuple(value)
         except TypeError:
@@ -71,12 +72,58 @@ def _check_count(value, what: str) -> None:
         raise ValueError(f"{what} must be a non-negative int, not {value!r}")
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is not one."""
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    )
+
+
 def _load_json(text: str):
     """``json.loads``; input nested too deeply to parse is a ValueError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to parse") from None
+
+
+def _field(obj, key: str, convert, where: str, default=None, error=ValueError):
+    """``convert(obj[key])``, or ``default`` when the key is absent and a
+    default is given; a missing required key or a bad value is an
+    ``error``."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
+        raise error(f"{where} must be an object with {key!r}")
+    if key not in obj:
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{where}: bad {key!r}: {obj[key]!r}") from None
+
+
+def _json(*types):
+    """A converter accepting only JSON values of ``types``; a boolean is
+    never an integer or a number."""
+
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(value)
+        return value
+
+    return convert
+
+
+_INT, _NUMBER, _STRING, _ARRAY, _OBJECT = (
+    _json(int), _json(int, float), _json(str), _json(list), _json(dict)
+)
+
+
+def _number(value) -> float:
+    return float(_NUMBER(value))
+
+
+def _strings(value) -> tuple:
+    return tuple(map(_STRING, _ARRAY(value)))
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -245,19 +292,13 @@ class DiGraph(_Graph):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiGraph":
-        if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-            raise GraphError("graph JSON must be an object with 'nodes' and 'edges'")
-        nodes, edges = data["nodes"], data["edges"]
-        if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
-            raise GraphError(f"graph JSON 'nodes' must be an array of strings: {nodes!r}")
-        if not isinstance(edges, list):
-            raise GraphError(f"graph JSON 'edges' must be an array: {edges!r}")
-        for e in edges:
-            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, str) for v in e):
-                raise GraphError(f"edge must be a 2-element array of strings: {e!r}")
-        pairs = [tuple(e) for e in edges]
+        def pairs_of(value) -> list:
+            return [*map(_strings, _ARRAY(value))]
+
+        nodes = _field(data, "nodes", _strings, "graph JSON", error=GraphError)
+        pairs = _field(data, "edges", pairs_of, "graph JSON", error=GraphError)
         if len(set(pairs)) != len(pairs):
-            raise GraphError(f"graph JSON 'edges' has repeated edges: {edges!r}")
+            raise GraphError(f"graph JSON 'edges' has repeated edges: {data['edges']!r}")
         return cls(nodes, pairs)
 
     def to_json(self) -> str:
