@@ -159,6 +159,10 @@ class CfmpSpec:
     intensities: Mapping[str, ComponentIntensity]
 
     def __post_init__(self):
+        if not isinstance(self.space, ComponentSpace):
+            raise ValueError(f"a spec's space must be a ComponentSpace, not {self.space!r}")
+        if not isinstance(self.intensities, Mapping):
+            raise ValueError(f"a spec's intensities must be a mapping, not {self.intensities!r}")
         object.__setattr__(self, "intensities", MappingProxyType(dict(self.intensities)))
 
     @functools.cached_property
@@ -224,13 +228,17 @@ def _check_path(space: ComponentSpace, initial, jumps, horizon):
     each jump's component as arrays."""
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"trajectory horizon must be a positive finite number, got {horizon!r}")
+    if not isinstance(space, ComponentSpace):
+        raise ValueError(f"a trajectory's space must be a ComponentSpace, not {space!r}")
     if not 0 < space.n_states <= MAX_PRODUCT_STATES:
         raise ValueError(f"a trajectory's space must have 1 to {MAX_PRODUCT_STATES} states")
     cards, init = np.array(space.cards), _array(initial, "iu", "initial states")
     if init.shape != cards.shape or np.any((init < 0) | (init >= cards)):
         raise ValueError(f"initial state {initial!r} does not fit the cardinalities {space.cards}")
-    if set(map(len, jumps)) - {3}:
-        raise ValueError("each jump must be a (time, component index, new state) triple")
+    jumps = _collection(jumps, "jumps", "collection of jumps")
+    if {*map(type, jumps)} - {tuple} or {*map(len, jumps)} - {3}:
+        kind = "(time, component index, new state) triple"
+        jumps = tuple(_collection(j, f"jump {i}", kind, 3) for i, j in enumerate(jumps))
     times, comps, states = zip(*jumps) if len(jumps) else [np.zeros(0, dtype=int)] * 3
     bools = {bool, np.bool_}
     if bools & {*map(type, times), *map(type, comps), *map(type, states)}:
@@ -292,20 +300,31 @@ def validate_spec(spec: CfmpSpec) -> list[str]:
         if ci is None:
             errors.append(f"{name}: no intensity table")
             continue
-        deps = ci.depends_on
-        if len(deps) != len(set(deps)):
-            errors.append(f"{name}: duplicate entries in depends_on")
+        if not isinstance(ci, ComponentIntensity):
+            errors.append(f"{name}: intensity table must be a ComponentIntensity, not {ci!r}")
+            continue
+        try:
+            deps = _collection(ci.depends_on, f"{name}: depends_on", "collection of names")
+            rows = _collection(ci.rows, f"{name}: rows", "collection of RateRow cells")
+        except ValueError as exc:
+            errors.append(str(exc))
             continue
         bad = [d for d in deps if d not in names or d == name]
         if bad:
             errors.append(f"{name}: depends_on must name other components, got {bad}")
+            continue
+        if len(deps) != len(set(deps)):
+            errors.append(f"{name}: duplicate entries in depends_on")
             continue
         dep_cards = [space.cards[space.index_of(d)] for d in deps]
         seen: dict[tuple, float] = {}
         # total out-rate per (configuration, source); Python floats
         # overflow to inf without a numpy warning
         out_rates: dict[tuple, float] = {}
-        for row in ci.rows:
+        for row in rows:
+            if not isinstance(row, RateRow):
+                errors.append(f"{name}: a rate-table row must be a RateRow, not {row!r}")
+                continue
             why = _cell_error(row, dep_cards, card)
             key = None if why else (row.given, row.source, row.target)
             if key in seen:
@@ -902,9 +921,12 @@ def estimate_intensities(
     ValueError when a trajectory's space is not the spec's."""
     comp = spec._compiled
     space = spec.space
-    trajectories = list(trajectories)
-    if any(traj.space != space for traj in trajectories):
-        raise ValueError(f"a trajectory's space does not fit the spec's {space}")
+    trajectories = _collection(trajectories, "trajectories", "collection of trajectories")
+    for traj in trajectories:
+        if not isinstance(traj, Trajectory):
+            raise ValueError(f"trajectories must be Trajectory instances, not {traj!r}")
+        if traj.space != space:
+            raise ValueError(f"a trajectory's space does not fit the spec's {space}")
     none = [np.zeros(0, dtype=int)]
     seg = np.concatenate(none + [traj._segments for traj in trajectories])
     src = np.concatenate(none + [traj._segments[:-1] for traj in trajectories])

@@ -162,9 +162,10 @@ class _Graph:
             if type(edge) is not tuple or len(edge) != 2:
                 edge = _collection(edge, "an edge", "pair of labels", 2)
             j, k = edge
-            if j not in index:
+            # a label is a string; anything else is no node, and may not hash
+            if not isinstance(j, str) or j not in index:
                 raise UnknownNodeError(j)
-            if k not in index:
+            if not isinstance(k, str) or k not in index:
                 raise UnknownNodeError(k)
             if j == k:
                 raise GraphError(f"self-loop not allowed: {j!r}")
@@ -192,7 +193,7 @@ class _Graph:
             names = _collection(names, "a node set")
         m = 0
         for name in names:
-            i = self._index.get(name)
+            i = self._index.get(name) if isinstance(name, str) else None
             if i is None:
                 raise UnknownNodeError(name)
             m |= 1 << i

@@ -54,8 +54,9 @@ from ligraph.fixtures import (
     independent_pair_process,
     three_cycle_process,
 )
-from ligraph.graphoid import build_truth_table
+from ligraph.graphoid import LOCAL_INDEPENDENCE_GUARANTEES, build_truth_table, check_axiom
 from ligraph.graphs import UnknownNodeError
+from ligraph.separation import delta_separates_masks
 
 
 def binary_pair(rate_x=(1.0, 1.0), rate_y=(1.0, 1.0), y_deps=()):
@@ -108,6 +109,29 @@ def dead_transitions_process():
         for name, card in zip(names, cards)
     }
     return CfmpSpec(ComponentSpace(names, cards), intensities)
+
+
+def with_vacuous_dependency(spec, rng):
+    """``spec`` with one component made to declare a dependency its rates
+    ignore: its rows copied across the configurations of a new dependency,
+    or of an existing one, from that dependency's state 0."""
+    names = spec.space.names
+    k = rng.choice(names)
+    deps, rows = spec.intensities[k].depends_on, spec.intensities[k].rows
+    new = [n for n in names if n != k and n not in deps]
+    if new and (not deps or rng.random() < 0.5):
+        d = rng.choice(new)
+        card = spec.space.cards[names.index(d)]
+        deps, rows = deps + (d,), [RateRow(r.given + (v,), r.source, r.target, r.rate)
+                                   for r in rows for v in range(card)]
+    else:
+        axis = rng.randrange(len(deps))
+        base = {(r.given[:axis] + r.given[axis + 1:], r.source, r.target): r.rate
+                for r in rows if r.given[axis] == 0}
+        rows = [RateRow(r.given, r.source, r.target,
+                        base[r.given[:axis] + r.given[axis + 1:], r.source, r.target])
+                for r in rows]
+    return CfmpSpec(spec.space, {**spec.intensities, k: ComponentIntensity(deps, tuple(rows))})
 
 
 def scaled_rates(spec, factor):
@@ -295,6 +319,29 @@ class TestValidation:
         spec = binary_pair(rate_x=(-1.0, 1.0))
         with pytest.raises(SpecValidationError):
             build_generator(spec)
+
+    # a container of the wrong type is one message, not a traceback and
+    # not a string read as its characters
+    @pytest.mark.parametrize("y, message", [
+        (ComponentIntensity("x", ()), "depends_on must be a collection of names, not the string 'x'"),
+        (ComponentIntensity("yy", ()), "depends_on must be a collection of names, not the string 'yy'"),
+        (ComponentIntensity((), 5), "rows must be a collection of RateRow cells, not 5"),
+        (ComponentIntensity((), (((), 0, 1, 1.0),)), "a rate-table row must be a RateRow, not ((), 0, 1, 1.0)"),
+        (((), ()), "intensity table must be a ComponentIntensity, not ((), ())"),
+    ])
+    def test_bad_containers_reported(self, y, message):
+        spec = CfmpSpec(binary_pair().space, {**binary_pair().intensities, "y": y})
+        assert "y: " + message in validate_spec(spec)
+        with pytest.raises(SpecValidationError):
+            build_generator(spec)
+
+    @pytest.mark.parametrize("space, intensities, match", [
+        (None, {}, "space must be a ComponentSpace, not None"),
+        (ComponentSpace(("x", "y"), (2, 2)), 5, "intensities must be a mapping, not 5"),
+    ])
+    def test_spec_needs_a_space_and_a_mapping(self, space, intensities, match):
+        with pytest.raises(ValueError, match=match):
+            CfmpSpec(space, intensities)
 
 
 class TestComponentSpace:
@@ -601,6 +648,44 @@ class TestLocalMarkovStructure:
                 parents = set(g.parents({k}))
                 rest = names - parents - {k}
                 assert set_locally_independent(spec, rest, {k}, parents)
+
+
+class TestLocalIndependenceOnRandomSpecs:
+    """On a covering triple, where sources, targets and given partition
+    the components, local independence in the tables is delta-separation
+    in the derived graph (the Markov property of local independence
+    graphs; Didelez, JRSS-B 2008).  Specs with vacuous dependencies are
+    included: derive_graph drops those, and the tables must agree."""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        rng = random.Random(7)
+        specs = [random_spec(rng) for _ in range(60)]
+        return specs + [with_vacuous_dependency(spec, rng) for spec in specs]
+
+    def test_vacuous_dependencies_are_made(self, specs):
+        assert sum(bool(vacuous_dependencies(spec)) for spec in specs) >= 60
+
+    def test_guarantees_hold(self, specs):
+        checked = dict.fromkeys(LOCAL_INDEPENDENCE_GUARANTEES, 0)
+        for spec in specs:
+            oracle = local_independence_oracle(spec)
+            table = build_truth_table(oracle)
+            for ax in LOCAL_INDEPENDENCE_GUARANTEES:
+                report = check_axiom(oracle, ax, table)
+                assert report.holds, (spec, report)
+                checked[ax] += report.checked
+        # a pass over few checked instances would show nothing
+        assert min(checked.values()) > 0, checked
+
+    def test_covering_triples_match_delta_separation(self, specs):
+        for spec in specs:
+            names = spec.space.names
+            g = derive_graph(spec)
+            for parts in itertools.product(range(3), repeat=len(names)):
+                a, b, c = ([n for n, p in zip(names, parts) if p == i] for i in range(3))
+                expected = delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
+                assert set_locally_independent(spec, a, b, c) == expected, (spec, a, b, c)
 
 
 class TestCiDecay:
@@ -929,6 +1014,15 @@ class TestEstimate:
         with pytest.raises(ValueError, match="does not fit"):
             estimate_intensities([traj], cycle3_spec)
 
+    @pytest.mark.parametrize("trajectories, match", [
+        pytest.param(5, "trajectories must be a collection of trajectories, not 5", id="int"),
+        pytest.param([5], "trajectories must be Trajectory instances, not 5", id="int-item"),
+        pytest.param("ab", "the string 'ab'", id="str"),
+    ])
+    def test_rejects_what_is_not_trajectories(self, cycle3_spec, trajectories, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_intensities(trajectories, cycle3_spec)
+
     def test_exposure_accounts_for_full_horizon(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
         trajs = simulate_batch(cycle3_spec, pi, 50.0, seed=8, count=4)
@@ -1077,6 +1171,24 @@ class TestTrajectory:
     def test_rejects_ragged_states(self, cycle3_spec, jump):
         with pytest.raises(ValueError, match="triple"):
             Trajectory(cycle3_spec.space, (0, 0, 0), (jump,), 5.0)
+
+    @pytest.mark.parametrize("jumps, match", [
+        pytest.param(5, "jumps must be a collection of jumps, not 5", id="int"),
+        pytest.param(None, "jumps must be a collection of jumps, not None", id="none"),
+        pytest.param((5,), "jump 0 must be a .* triple, not 5", id="int-jump"),
+        pytest.param(((1.0, 0, 1), "abc"), "jump 1 must be a .* triple, not the string", id="str-jump"),
+    ])
+    def test_rejects_jumps_that_are_not_triples(self, cycle3_spec, jumps, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory(cycle3_spec.space, (0, 0, 0), jumps, 5.0)
+
+    def test_takes_jumps_as_lists(self, cycle3_spec):
+        traj = Trajectory(cycle3_spec.space, [0, 0, 0], [[1.0, 0, 1]], 5.0)
+        assert traj.jumps == ((1.0, 0, 1),)
+
+    def test_rejects_a_space_that_is_not_a_component_space(self):
+        with pytest.raises(ValueError, match="space must be a ComponentSpace, not None"):
+            Trajectory(None, (0, 0), (), 5.0)
 
     @pytest.mark.parametrize("horizon", [0.0, math.nan, "5", True, None])
     def test_rejects_bad_horizon(self, cycle3_spec, horizon):

@@ -68,6 +68,20 @@ class TestConstruction:
         with pytest.raises(GraphError, match=match):
             call()
 
+    # a label is a string: anything else is no node, and a list, which
+    # does not hash, must not reach the label index
+    @pytest.mark.parametrize("call", [
+        lambda: DiGraph(["a", "b"], [(["a"], "b")]),
+        lambda: DiGraph(["a", "b"], [("a", {"x": 1})]),
+        lambda: UGraph(["a", "b"], [(["a"], "b")]),
+        lambda: DiGraph(["a", "b"]).mask_of([["a"]]),
+        lambda: DiGraph(["a", "b"]).parents([["a"], "b"]),
+        lambda: UGraph(["a", "b"]).u_separated([["a"]], ["b"], []),
+    ])
+    def test_rejects_an_unhashable_label(self, call):
+        with pytest.raises(UnknownNodeError, match=r"unknown node: (\['a'\]|\{'x': 1\})"):
+            call()
+
     def test_takes_any_collection_of_labels(self):
         g = DiGraph(("a", "b"), {("a", "b")})
         assert g.parents(x for x in ["b"]) == {"a"}
@@ -291,6 +305,22 @@ class TestSerialization:
             DiGraph.from_json_dict({"nodes": ["a"]})
         with pytest.raises(GraphError):
             DiGraph.from_json_dict({"nodes": ["a", "b"], "edges": [["a", "b", "c"]]})
+
+    # graph JSON is read by the same typed field reader as spec JSON
+    @pytest.mark.parametrize("data, match", [
+        ([], "graph JSON must be an object with 'nodes'"),
+        ({"edges": []}, "graph JSON must be an object with 'nodes'"),
+        ({"nodes": ["a"]}, "graph JSON must be an object with 'edges'"),
+        ({"nodes": "ab", "edges": []}, "graph JSON: bad 'nodes': 'ab'"),
+        ({"nodes": ["a", 1], "edges": []}, "graph JSON: bad 'nodes'"),
+        ({"nodes": ["a", "b"], "edges": {"a": "b"}}, "graph JSON: bad 'edges'"),
+        ({"nodes": ["a", "b"], "edges": [["a", ["b"]]]}, "graph JSON: bad 'edges'"),
+        ({"nodes": ["a", "b"], "edges": ["ab"]}, "graph JSON: bad 'edges'"),
+        ({"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}, "edge must be a pair"),
+    ])
+    def test_json_messages(self, data, match):
+        with pytest.raises(GraphError, match=match):
+            DiGraph.from_json_dict(data)
 
     def test_json_rejects_repeated_labels(self):
         with pytest.raises(GraphError, match="repeated"):
