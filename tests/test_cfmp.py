@@ -663,9 +663,6 @@ class TestLocalIndependenceOnRandomSpecs:
         specs = [random_spec(rng) for _ in range(60)]
         return specs + [with_vacuous_dependency(spec, rng) for spec in specs]
 
-    def test_vacuous_dependencies_are_made(self, specs):
-        assert sum(bool(vacuous_dependencies(spec)) for spec in specs) >= 60
-
     def test_guarantees_hold(self, specs):
         checked = dict.fromkeys(LOCAL_INDEPENDENCE_GUARANTEES, 0)
         for spec in specs:
@@ -679,6 +676,7 @@ class TestLocalIndependenceOnRandomSpecs:
         assert min(checked.values()) > 0, checked
 
     def test_covering_triples_match_delta_separation(self, specs):
+        assert all(vacuous_dependencies(spec) for spec in specs[60:])
         for spec in specs:
             names = spec.space.names
             g = derive_graph(spec)
