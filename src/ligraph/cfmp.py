@@ -28,11 +28,12 @@ for a long window, squared from a short one.
 
 A sampled path (``Trajectory``) is kept in its wire form, the form the
 JSONL files store: the initial product state and one (time, component
-index, new state) event per jump.  It is checked once, on construction,
-against its ``ComponentSpace`` by one vectorized function, which also
-yields each segment's product state index and dwell time and each
-jump's component; estimation reads those directly.  Simulation refuses
-a horizon whose length times the largest exit rate is above
+index, new state) event per jump, held as three read-only columns.  It
+is checked once, on construction, against its ``ComponentSpace`` by one
+vectorized function, which also yields each segment's product state
+index and dwell time; estimation reads those and the component column
+directly.  Simulation draws its random numbers in blocks, and refuses a
+horizon whose length times the largest exit rate is above
 MAX_HORIZON_MEAN, before it samples anything.
 
 The module derives the independence graph from the tables (a declared
@@ -51,6 +52,7 @@ import itertools
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -58,6 +60,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import DiGraph, UnknownNodeError, _check_count, _check_label, _collection, _is_int
+from .graphs import _label_set
 from .graphs import _ARRAY, _INT, _OBJECT, _STRING, _field, _load_json, _number, _real, _strings
 from .graphoid import IrrelevanceOracle, OracleDomainError
 
@@ -72,6 +75,8 @@ MAX_WINDOW_MEAN = 1.0e4
 # Largest lam * horizon accepted for a sample path, which bounds its
 # expected jump count.
 MAX_HORIZON_MEAN = 1.0e6
+# Holding times and transition uniforms drawn per numpy call while sampling
+SAMPLE_BLOCK = 128
 CMI_PROB_FLOOR = 1e-15
 CMI_ZERO_TOL = 1e-12
 # The target's own jump within a window of length h is an event of
@@ -178,54 +183,110 @@ class Generator:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """One sampled path in its wire form: the initial product state and
-    one ``(time, component index, new state)`` event per jump.  It is
-    checked against ``space`` once, on construction, which also sets the
-    product state index and dwell time of each segment and the component
-    each jump moves, and keeps the jumps as plain (float, int, int)
-    triples."""
+    one event per jump, kept as three read-only columns, ``times``
+    (float64), ``components`` (the index of the component each jump
+    moves, int64) and ``states`` (its new state, int64).
+    ``Trajectory(space, initial, jumps, horizon)`` takes the jumps as
+    ``(time, component index, new state)`` triples, and ``jumps`` gives
+    them back as plain (float, int, int) triples.  The path is checked
+    against ``space`` once, on construction, which also sets the product
+    state index and dwell time of each segment.  Two trajectories are
+    equal when their space, initial state, horizon and columns are, and
+    equal trajectories hash alike."""
 
     space: ComponentSpace
     initial: tuple[int, ...]
-    jumps: tuple[tuple[float, int, int], ...]
     horizon: float
-    _segments: np.ndarray = field(init=False, repr=False, compare=False)
-    _dwell: np.ndarray = field(init=False, repr=False, compare=False)
-    _moved: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray
+    components: np.ndarray
+    states: np.ndarray
+    _segments: np.ndarray = field(repr=False)
+    _dwell: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        checked = _check_path(self.space, self.initial, self.jumps, self.horizon)
-        names = ("initial", "horizon", "jumps", "_segments", "_dwell", "_moved")
-        for name, value in zip(names, checked):
+    def __init__(self, space: ComponentSpace, initial, jumps, horizon: float):
+        self._check(space, initial, *_columns(jumps), horizon)
+
+    @classmethod
+    def _from_columns(cls, space, initial, times: list, components: list, states: list, horizon):
+        """The trajectory of three equally long lists that hold no bool,
+        as the sampler and the JSONL reader build them, checked by the
+        same ``_check_path``."""
+        traj = object.__new__(cls)
+        traj._check(space, initial, times, components, states, horizon)
+        return traj
+
+    def _check(self, space, *path):
+        # _check_path returns the fields after ``space``, in field order
+        for name, value in zip(self.__dataclass_fields__, (space, *_check_path(space, *path))):
             object.__setattr__(self, name, value)
 
+    @property
+    def jumps(self) -> tuple[tuple[float, int, int], ...]:
+        return tuple(zip(self.times.tolist(), self.components.tolist(), self.states.tolist()))
 
-def _reject(jumps, bad: np.ndarray, why: str) -> None:
-    """A ValueError naming the first jump flagged in ``bad``, if any."""
+    def _key(self) -> tuple:
+        columns = (self.times, self.components, self.states)
+        return (self.space, self.initial, self.horizon, *(c.tobytes() for c in columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # a pickled or copied trajectory is built and checked again, so
+        # its columns are read-only too
+        return Trajectory, (self.space, self.initial, self.jumps, self.horizon)
+
+
+def _reject(columns, bad: np.ndarray, why: str) -> None:
+    """A ValueError naming the first jump flagged in ``bad``, if any, by
+    the triple that ``columns`` hold for it."""
     if bad.any():
         j = int(bad.argmax())
-        raise ValueError(f"jump {j} {jumps[j]!r} {why}")
+        raise ValueError(f"jump {j} {tuple(c[j] for c in columns)!r} {why}")
 
 
 def _array(values, kinds: str, what: str) -> np.ndarray:
     """``values`` as a 1-d array of one of the numpy dtype ``kinds``, cast
-    to float or int; anything else is a ValueError."""
+    to float64 or int64; anything else is a ValueError."""
     out = np.array(values)
     if out.ndim != 1 or out.dtype.kind not in kinds:
         raise ValueError(f"{what} must be {'numbers' if 'f' in kinds else 'integers'}")
-    return out.astype(float if "f" in kinds else int)
+    return out.astype(np.float64 if "f" in kinds else np.int64, copy=False)
 
 
-def _check_path(space: ComponentSpace, initial, jumps, horizon):
-    """The one check of a trajectory: a positive finite horizon, jump
-    times strictly increasing within (0, horizon], integer components
-    and states in range, no bool anywhere in a jump, and every jump
-    changing its component's state.  Returns the initial state as a tuple
-    of ints, the horizon as a float, the jumps as (float, int, int)
-    triples, and each segment's product state index and dwell time and
-    each jump's component as arrays."""
+def _columns(jumps) -> list:
+    """A caller's jumps, a collection of triples, as three columns: the
+    times, the component indices and the new states.  A jump that is not
+    a triple, or holds a bool, is a ValueError."""
+    jumps = _collection(jumps, "jumps", "collection of jumps")
+    if {*map(type, jumps)} - {tuple} or {*map(len, jumps)} - {3}:
+        kind = "(time, component index, new state) triple"
+        jumps = tuple(_collection(j, f"jump {i}", kind, 3) for i, j in enumerate(jumps))
+    columns = list(zip(*jumps)) or [(), (), ()]
+    bools = {bool, np.bool_}
+    if bools & {*map(type, itertools.chain(*columns))}:
+        holds = [not bools.isdisjoint(map(type, j)) for j in jumps]
+        _reject(columns, np.array(holds), "holds a bool")
+    return columns
+
+
+def _check_path(space: ComponentSpace, initial, times, components, states, horizon):
+    """The one check of a trajectory, given as three equally long
+    columns of jump times, component indices and new states that hold no
+    bool: a positive finite horizon, jump times strictly increasing
+    within (0, horizon], integer components and states in range, and
+    every jump changing its component's state.  Returns the initial
+    state as a tuple of ints, the horizon as a float, the columns as
+    read-only float64, int64 and int64 arrays, and each segment's product
+    state index and dwell time."""
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"trajectory horizon must be a positive finite number, got {horizon!r}")
     if not isinstance(space, ComponentSpace):
@@ -235,31 +296,31 @@ def _check_path(space: ComponentSpace, initial, jumps, horizon):
     cards, init = np.array(space.cards), _array(initial, "iu", "initial states")
     if init.shape != cards.shape or np.any((init < 0) | (init >= cards)):
         raise ValueError(f"initial state {initial!r} does not fit the cardinalities {space.cards}")
-    jumps = _collection(jumps, "jumps", "collection of jumps")
-    if {*map(type, jumps)} - {tuple} or {*map(len, jumps)} - {3}:
-        kind = "(time, component index, new state) triple"
-        jumps = tuple(_collection(j, f"jump {i}", kind, 3) for i, j in enumerate(jumps))
-    times, comps, states = zip(*jumps) if len(jumps) else [np.zeros(0, dtype=int)] * 3
-    bools = {bool, np.bool_}
-    if bools & {*map(type, times), *map(type, comps), *map(type, states)}:
-        _reject(jumps, np.array([not bools.isdisjoint(map(type, j)) for j in jumps]), "holds a bool")
+    given = (times, components, states)
+    if not len(times):  # an empty list reads as float
+        times = components = states = np.zeros(0, dtype=np.int64)
     times = _array(times, "iuf", "jump times")
-    comps, states = _array(comps, "iu", "jump components"), _array(states, "iu", "new states")
+    comps, states = _array(components, "iu", "jump components"), _array(states, "iu", "new states")
     dwell = np.diff(np.concatenate(([0.0], times, [horizon])))
     unordered = ~(dwell[:-1] > 0) | (times > horizon)
-    _reject(jumps, unordered, "is not after the jump before it and within the horizon")
-    _reject(jumps, (comps < 0) | (comps >= len(cards)), "moves no component of the space")
-    _reject(jumps, (states < 0) | (states >= cards[comps]), "does not fit its component's states")
-    # full[i] is the product state after i jumps: each component holds
-    # the state its last jump so far set, or its initial state
-    rows = np.arange(1, len(jumps) + 1)
-    last = np.zeros((len(rows) + 1, len(cards)), dtype=int)
-    last[rows, comps] = rows
-    last = np.maximum.accumulate(last, axis=0)
-    full = np.where(last > 0, np.concatenate(([0], states))[last], init)
-    _reject(jumps, full[rows - 1, comps] == states, "does not change its component's state")
-    jumps = tuple(zip(times.tolist(), comps.tolist(), states.tolist()))
-    return tuple(init.tolist()), float(horizon), jumps, full @ space.strides, dwell, comps
+    _reject(given, unordered, "is not after the jump before it and within the horizon")
+    _reject(given, (comps < 0) | (comps >= len(cards)), "moves no component of the space")
+    _reject(given, (states < 0) | (states >= cards[comps]), "does not fit its component's states")
+    # the state each jump leaves: the new state of the last earlier jump
+    # of its component (its predecessor when sorted by component), or the
+    # component's initial state
+    order = np.argsort(comps, kind="stable")
+    left = init[comps[order]]
+    again = np.flatnonzero(comps[order[1:]] == comps[order[:-1]]) + 1
+    left[again] = states[order[again - 1]]
+    before = np.empty_like(states)
+    before[order] = left
+    _reject(given, before == states, "does not change its component's state")
+    strides = np.array(space.strides)
+    segments = np.cumsum(np.concatenate(([init @ strides], (states - before) * strides[comps])))
+    for column in (times, comps, states):
+        column.setflags(write=False)
+    return tuple(init.tolist()), float(horizon), times, comps, states, segments, dwell
 
 
 # --- validation ---------------------------------------------------------------
@@ -428,15 +489,15 @@ class _Compiled:
         """Per state its total exit rate, its cumulative ``rate`` row
         divided by that total, and its ``dst`` row; the component each
         column moves; per state the moved component's new state in each
-        column.  All are Python lists (``cum`` a list of row views), so a
-        jump indexes no numpy array and calls only ``searchsorted``."""
+        column.  All are Python lists, so a jump indexes no numpy array
+        and picks its column with ``bisect``."""
         cum = np.cumsum(self.rate, axis=1)
         total = cum[:, -1:].copy()
         np.divide(cum, total, out=cum, where=total > 0.0)
         # card - 1 columns per component, in component order
         moved = np.repeat(np.arange(self.grid.shape[1]), self.grid.max(axis=0))
         new = self.grid[self.dst, moved]
-        return total[:, 0].tolist(), list(cum), self.dst.tolist(), moved.tolist(), new.tolist()
+        return total[:, 0].tolist(), cum.tolist(), self.dst.tolist(), moved.tolist(), new.tolist()
 
 
 # --- constancy checks and graph derivation ------------------------------------
@@ -458,7 +519,7 @@ def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> fr
     would be read as its characters, or any other value that is not a
     collection of names is a ValueError, and an unknown name an
     UnknownNodeError."""
-    names = frozenset(_collection(names, what))
+    names = _label_set(names, what)
     for name in names:
         space.index_of(name)
     return names
@@ -860,22 +921,32 @@ def simulate_batch(
 
 
 def _sample(spec: CfmpSpec, pi: np.ndarray, horizon: float, seed: int) -> Trajectory:
+    """One path: the initial state drawn from ``pi``, then per jump a
+    standard exponential scaled by the state's total exit rate and a
+    uniform that picks the transition.  Both are drawn SAMPLE_BLOCK at a
+    time, exponentials first, whenever the last block is used up."""
     rng = np.random.default_rng(seed)
     total, cum, dst, moved, new = spec._compiled.sampling
     idx = int(rng.choice(len(total), p=pi))
     initial = tuple(spec._compiled.grid[idx].tolist())
-    jumps = []
-    t = 0.0
+    times, comps, states = [], [], []
+    t, i = 0.0, SAMPLE_BLOCK
     while total[idx] > 0.0:
-        t += rng.exponential(1.0 / total[idx])
+        if i == SAMPLE_BLOCK:
+            holds = rng.standard_exponential(SAMPLE_BLOCK).tolist()
+            uniforms, i = rng.random(SAMPLE_BLOCK).tolist(), 0
+        t += holds[i] / total[idx]
         if t > horizon:
             break
         # a zero-rate column repeats the cumulative value before it, so
-        # side="right" never picks one, and cum[idx][-1] is exactly 1.0
-        pick = cum[idx].searchsorted(rng.random(), side="right")
-        jumps.append((t, moved[pick], new[idx][pick]))
+        # bisect_right never picks one, and cum[idx][-1] is exactly 1.0
+        pick = bisect_right(cum[idx], uniforms[i])
+        i += 1
+        times.append(t)
+        comps.append(moved[pick])
+        states.append(new[idx][pick])
         idx = dst[idx][pick]
-    return Trajectory(spec.space, initial, tuple(jumps), float(horizon))
+    return Trajectory._from_columns(spec.space, initial, times, comps, states, float(horizon))
 
 
 @dataclass(frozen=True)
@@ -923,16 +994,14 @@ def estimate_intensities(
     space = spec.space
     trajectories = _collection(trajectories, "trajectories", "collection of trajectories")
     for traj in trajectories:
-        if not isinstance(traj, Trajectory):
-            raise ValueError(f"trajectories must be Trajectory instances, not {traj!r}")
-        if traj.space != space:
+        if _trajectory(traj).space != space:
             raise ValueError(f"a trajectory's space does not fit the spec's {space}")
     none = [np.zeros(0, dtype=int)]
     seg = np.concatenate(none + [traj._segments for traj in trajectories])
     src = np.concatenate(none + [traj._segments[:-1] for traj in trajectories])
     dst = np.concatenate(none + [traj._segments[1:] for traj in trajectories])
     dwell = np.concatenate(none + [traj._dwell for traj in trajectories])
-    component = np.concatenate(none + [traj._moved for traj in trajectories])
+    component = np.concatenate(none + [traj.components for traj in trajectories])
 
     cells: dict[str, dict[tuple[tuple[int, ...], int], CellEstimate]] = {}
     for ki, (name, card) in enumerate(zip(space.names, space.cards)):
@@ -1043,10 +1112,17 @@ def spec_from_json(text: str) -> CfmpSpec:
     return spec_from_json_dict(_load_json(text))
 
 
+def _trajectory(value) -> Trajectory:
+    """``value``, which must be a Trajectory; anything else is a ValueError."""
+    if not isinstance(value, Trajectory):
+        raise ValueError(f"trajectories must be Trajectory instances, not {value!r}")
+    return value
+
+
 def trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:
     """The JSONL text of ``traj``: a ``json.dumps`` header line, then one
     event line per jump, formatted as ``json.dumps`` would format it."""
-    if space != traj.space:
+    if space != _trajectory(traj).space:
         raise ValueError(f"a trajectory over {traj.space} cannot be written over {space}")
     header = dict(components=list(space.names), initial=list(traj.initial), horizon=traj.horizon)
     names = [json.dumps(n) for n in space.names]
@@ -1082,14 +1158,18 @@ def trajectory_from_jsonl(text: str, space: ComponentSpace) -> Trajectory:
     initial = _field(header, "initial", lambda v: tuple(map(_INT, _ARRAY(v))), where)
     horizon = _field(header, "horizon", _number, where)
     match, index = _event_line().fullmatch, {n: space.index_of(n) for n in space.names}
-    jumps = []
+    # _number, _INT and the pattern never yield a bool
+    times, comps, states = [], [], []
     for ln in lines[1:]:
         m = match(ln)
         if m and m[2] in index:
-            jumps.append((float(m[1]), index[m[2]], int(m[3])))
-            continue
-        ev = _load_json(ln)
-        ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
-        new = _field(ev, "new_state", _INT, "trajectory event")
-        jumps.append((_field(ev, "time", _number, "trajectory event"), ki, new))
-    return Trajectory(space, initial, tuple(jumps), horizon)
+            time, ki, new = float(m[1]), index[m[2]], int(m[3])
+        else:
+            ev = _load_json(ln)
+            ki = space.index_of(_field(ev, "component", _STRING, "trajectory event"))
+            new = _field(ev, "new_state", _INT, "trajectory event")
+            time = _field(ev, "time", _number, "trajectory event")
+        times.append(time)
+        comps.append(ki)
+        states.append(new)
+    return Trajectory._from_columns(space, initial, times, comps, states, horizon)

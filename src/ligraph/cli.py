@@ -10,6 +10,7 @@ Exit codes: 0 on success (a negative dsep verdict is still success),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -171,7 +172,10 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the
+    process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ligraph",
         description="Local independence graphs: separation queries, axiom "

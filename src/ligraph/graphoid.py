@@ -108,7 +108,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .graphs import DiGraph, UGraph, _check_count, _collection, enumerate_digraphs
+from .graphs import DiGraph, UGraph, _check_count, _collection, _label_set, enumerate_digraphs
 from .separation import EnumerationGuardError, _delta_trail_arrays, _reduce_masks
 from .separation import delta_separates_masks
 
@@ -906,7 +906,7 @@ def violates(
     ground = frozenset(oracle.ground)
     given = {}
     for name, value in sets.items():
-        given[name] = frozenset(_collection(value, name))
+        given[name] = _label_set(value, name)
         outside = sorted(given[name] - ground, key=str)
         if outside:
             raise ValueError(f"{name} has labels outside the ground: {outside}")
@@ -960,7 +960,7 @@ def undirected_separation_oracle(h: UGraph) -> IrrelevanceOracle:
 
 
 def constant_oracle(ground, value: bool = True) -> IrrelevanceOracle:
-    ground = tuple(sorted(set(_collection(ground, "ground"))))
+    ground = tuple(sorted(_label_set(ground, "ground")))
     return IrrelevanceOracle(
         ground=ground, query=lambda a, b, c: value, name=f"constant-{value}"
     )

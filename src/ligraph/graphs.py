@@ -58,6 +58,16 @@ def _collection(value, what: str, kind: str = "set of labels", size: int | None 
     raise GraphError(f"{what} must be a {kind}, not {shown}")
 
 
+def _label_set(value, what: str) -> frozenset:
+    """``value``'s members, read by ``_collection``, as a frozenset; a
+    member that cannot be hashed, a list say, is the same GraphError."""
+    members = _collection(value, what)
+    try:
+        return frozenset(members)
+    except TypeError:
+        raise GraphError(f"{what} must be a set of labels, not {value!r}") from None
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is an int, numpy ints included; a bool is not one."""
     # the type test first: an ABC isinstance costs about ten times more

@@ -26,8 +26,8 @@ from .graphs import (
     DiGraph,
     GraphError,
     _check_count,
-    _collection,
     _iter_bits,
+    _label_set,
     moral_adjacency,
     u_separated_masks,
 )
@@ -57,7 +57,7 @@ class SeparationQuery:
         for name in "abc":
             value = getattr(self, name)
             if type(value) is not frozenset:
-                object.__setattr__(self, name, frozenset(_collection(value, name)))
+                object.__setattr__(self, name, _label_set(value, name))
 
     def reduced(self) -> "SeparationQuery":
         return SeparationQuery(self.a - (self.b | self.c), self.b, self.c - self.b)

@@ -506,6 +506,39 @@ class TestSimulateEstimate:
         assert_one_line_error(*run(capsys, "estimate", str(path), "--spec", spec))
 
 
+class TestOneProcess:
+    def test_commands_in_sequence_match_a_fresh_parser_each(self, capsys, tmp_path):
+        # the parser is built once per process; each command must still
+        # see only its own arguments and the defaults
+        spec = str(FIXTURES / "three_cycle_process.json")
+        graph = cycle_graph_file()
+        simulate = ["simulate", spec, "--horizon", "5", "--seed", "1", "--count", "2"]
+        sequence = [
+            ["dsep", graph, "--a", "b", "--b", "a", "--c", "c", "--method", "both"],
+            ["dsep", graph, "--b", "a"],
+            [*simulate, "--pi", "stationary", "--out-prefix", str(tmp_path / "s")],
+            [*simulate, "--out-prefix", str(tmp_path / "u")],
+            ["estimate", str(tmp_path / "s000.jsonl"), "--spec", spec],
+            ["estimate", "--spec", spec],
+            ["dsep", graph, "--a", "a", "--method", "trail"],
+        ]
+
+        def files():
+            return {p.name: p.read_text() for p in sorted(tmp_path.iterdir())}
+
+        cli._build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        shared_files = files()
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert fresh == shared and files() == shared_files
+        assert json.loads(shared[1][1])["reduced_query"]["a"] == []
+        assert shared_files["s000.jsonl"] != shared_files["u000.jsonl"]  # --pi matters here
+
+
 class TestTrajectoryJsonlBoundary:
     @pytest.mark.parametrize(
         "mutation", sorted(event_line_mutations('{"time": 1.0, "component": "a", "new_state": 1}'))

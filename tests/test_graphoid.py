@@ -18,7 +18,7 @@ from helpers import (
     slow_check,
 )
 from ligraph import graphoid
-from ligraph.graphs import DiGraph, UGraph, UnknownNodeError, enumerate_digraphs
+from ligraph.graphs import DiGraph, GraphError, UGraph, UnknownNodeError, enumerate_digraphs
 from ligraph.graphoid import (
     Axiom,
     DELTA_SEPARATION_GUARANTEES,
@@ -112,6 +112,8 @@ class TestInputValidation:
         # a string would be read as its characters
         with pytest.raises(ValueError, match="ground .* the string 'abc'"):
             constant_oracle("abc")
+        with pytest.raises(GraphError, match=r"ground must be a set of labels, not \[\['a'\]\]"):
+            constant_oracle([["a"]])
         oracle = IrrelevanceOracle(ground="ab", query=lambda a, b, c: True)
         with pytest.raises(ValueError, match="ground .* the string 'ab'"):
             build_truth_table(oracle)
@@ -171,6 +173,9 @@ class TestInputValidation:
             violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": {"z"}})
         with pytest.raises(ValueError, match="A must be a set of labels, not 5"):
             violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": 5})
+        # a member that cannot hash is the same one-line error
+        with pytest.raises(GraphError, match=r"A must be a set of labels, not \[\['a'\]\]"):
+            violates(constant_oracle(("a", "b"), False), Axiom.LEFT_REDUNDANCY, {"A": [["a"]]})
 
     def test_violates_reads_missing_keys_as_empty(self):
         oracle = delta_separation_oracle(DiGraph.from_edges([("a", "b")]))

@@ -113,6 +113,7 @@ class TestQuery:
         ((["a"], "bc", ()), "b must be a set of labels, not the string 'bc'"),
         ((None, ["b"], ()), "a must be a set of labels, not None"),
         ((["a"], ["b"], 3), "c must be a set of labels, not 3"),
+        (([["a"]], ["b"], ()), r"a must be a set of labels, not \[\['a'\]\]"),
     ])
     def test_rejects_a_string_or_non_collection(self, sets, match):
         with pytest.raises(GraphError, match=match):
