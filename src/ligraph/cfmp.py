@@ -726,7 +726,10 @@ def stationary_distribution(gen: Generator) -> np.ndarray:
 
 
 def _check_distribution(space: ComponentSpace, pi) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
+    """``pi`` as a float64 law over the space's states; a vector that is
+    not of int or float numbers (bools, complex numbers and strings
+    included) is a ValueError, never a cast."""
+    pi = _array(pi, "iuf", "distribution")
     if pi.shape != (space.n_states,):
         raise ValueError(
             f"distribution must have length {space.n_states}, got shape {pi.shape}"
@@ -851,16 +854,22 @@ def ci_decay(
     scale = 1.0 / lam if lam > 0.0 else 0.0
     rate = comp.rate * scale
     stay = (1.0 - comp.exit_rate * scale)[:, None]
+    # v[dst] as one flat take: a fancy index copies v's rows one at a time
+    rows = comp.dst[:, :, None] * card_t + np.arange(card_t)
 
     def step(v):
-        return stay * v + np.einsum("nm,nmc->nc", rate, v[comp.dst])
+        return stay * v + np.einsum("nm,nmc->nc", rate, v.reshape(-1).take(rows))
 
+    # the flat (w, s, t) joint cell of each (state, target state) term;
+    # bincount adds a cell's terms in state order, so the sums are exact
+    # repeats of a loop over the states
+    cells = ((w_ids * card_s + s0)[:, None] * card_t + np.arange(card_t)).ravel()
+    size = int(np.prod(w_cards)) * card_s * card_t
     cmis = []
     # P(target state at h | full state at 0), for every h
     for p_target in _uniformized(step, lam, onehot, hs):
-        joint = np.zeros((int(np.prod(w_cards)), card_s, card_t))
-        np.add.at(joint, (w_ids, s0), pi[:, None] * p_target)
-        cmis.append(_cmi(joint))
+        joint = np.bincount(cells, (pi[:, None] * p_target).ravel(), size)
+        cmis.append(_cmi(joint.reshape(-1, card_s, card_t)))
 
     ratios = tuple(
         cmis[i + 1] / cmis[i] if cmis[i] > 0 else float("nan")

@@ -317,6 +317,15 @@ class TruthTable:
     evaluable_words: tuple[np.ndarray, ...] | None
 
 
+def _sorted_ground(ground) -> list:
+    """A ground's distinct labels in sorted order, the bit order of every
+    mask; labels that do not hash or sort are a ValueError."""
+    try:
+        return sorted(set(ground))
+    except TypeError:
+        raise ValueError(f"ground labels must hash and sort: {list(ground)}") from None
+
+
 def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     ground = _collection(oracle.ground, "ground")
     if len(ground) > MAX_AXIOM_GROUND:
@@ -324,10 +333,7 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
             f"refusing axiom enumeration over {len(ground)} ground elements "
             f"(limit {MAX_AXIOM_GROUND})"
         )
-    try:
-        labels = sorted(set(ground))
-    except TypeError:
-        raise ValueError(f"ground labels must hash and sort: {list(ground)}") from None
+    labels = _sorted_ground(ground)
     if len(labels) != len(ground):
         raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
@@ -960,7 +966,7 @@ def undirected_separation_oracle(h: UGraph) -> IrrelevanceOracle:
 
 
 def constant_oracle(ground, value: bool = True) -> IrrelevanceOracle:
-    ground = tuple(sorted(_label_set(ground, "ground")))
+    ground = tuple(_sorted_ground(_label_set(ground, "ground")))
     return IrrelevanceOracle(
         ground=ground, query=lambda a, b, c: value, name=f"constant-{value}"
     )

@@ -1,5 +1,6 @@
 """Shared test machinery: an independent slow-path property checker, a
 rank-space reference evaluator, a per-triple ``all_separations`` loop, a
+``ci_decay`` kernel with fancy-index gathers and ``np.add.at`` tables, a
 per-line trajectory JSONL writer and reader with line mutations for
 them, and random spec/graph generators.
 
@@ -23,13 +24,19 @@ from ligraph.cfmp import (
     _ARRAY,
     _INT,
     _STRING,
+    DEFAULT_HS,
     CfmpSpec,
+    CiDecayReport,
     ComponentIntensity,
     ComponentSpace,
     RateRow,
     Trajectory,
+    _cmi,
     _field,
     _number,
+    _uniformized,
+    ci_decay,
+    classify_decay,
 )
 from ligraph.graphs import DiGraph, _load_json
 from ligraph.graphoid import Axiom, DerivedProperty, OracleDomainError
@@ -255,6 +262,53 @@ def reference_all_separations(g: DiGraph, max_cond: int) -> list[SeparationQuery
                 if delta_separates(g, q):
                     found.append(q)
     return found
+
+
+def reference_ci_decay(spec, pi, target, source, cond=(), hs=DEFAULT_HS) -> CiDecayReport:
+    """``ci_decay`` with its former kernel, for valid arguments: each
+    uniformization step gathers the neighbour rows as the fancy index
+    ``v[dst]``, and each window's joint table is summed by ``np.add.at``.
+    ``ci_decay`` must return the same bits."""
+    comp, space = spec._compiled, spec.space
+    pi = np.asarray(pi, dtype=float)
+    hs = tuple(map(float, hs))
+    t_idx, s_idx = space.index_of(target), space.index_of(source)
+    w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
+    states = comp.grid
+    card_t, card_s = space.cards[t_idx], space.cards[s_idx]
+    w_cards = [space.cards[i] for i in w_idx]
+    w_ids = np.ravel_multi_index([states[:, i] for i in w_idx], w_cards)
+    onehot = np.zeros((space.n_states, card_t))
+    onehot[np.arange(space.n_states), states[:, t_idx]] = 1.0
+    lam = float(comp.exit_rate.max())
+    scale = 1.0 / lam if lam > 0.0 else 0.0
+    rate = comp.rate * scale
+    stay = (1.0 - comp.exit_rate * scale)[:, None]
+
+    def step(v):
+        return stay * v + np.einsum("nm,nmc->nc", rate, v[comp.dst])
+
+    cmis = []
+    for p_target in _uniformized(step, lam, onehot, hs):
+        joint = np.zeros((int(np.prod(w_cards)), card_s, card_t))
+        np.add.at(joint, (w_ids, states[:, s_idx]), pi[:, None] * p_target)
+        cmis.append(_cmi(joint))
+    ratios = tuple(
+        cmis[i + 1] / cmis[i] if cmis[i] > 0 else float("nan") for i in range(len(cmis) - 1)
+    )
+    decay_class, orders = classify_decay(hs, cmis)
+    return CiDecayReport(
+        target, source, tuple(sorted(cond)), hs, tuple(cmis), ratios, orders, decay_class
+    )
+
+
+def assert_decay_matches_reference(spec, pi, target, source, cond) -> None:
+    """``ci_decay`` and ``reference_ci_decay`` agree bit for bit: the
+    report's JSON text (floats by repr) and the hex of every CMI."""
+    got = ci_decay(spec, pi, target, source, cond)
+    want = reference_ci_decay(spec, pi, target, source, cond)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert [c.hex() for c in got.cmis] == [c.hex() for c in want.cmis]
 
 
 def reference_trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:

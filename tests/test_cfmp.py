@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import (
+    assert_decay_matches_reference,
     event_line_mutations,
     random_spec,
     reference_trajectory_from_jsonl,
@@ -739,6 +741,34 @@ class TestCiDecay:
         with pytest.raises(ValueError, match="non-finite"):
             simulate(cycle3_spec, np.full(n, np.nan), 1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda pi: pi == pi.max(), id="bool"),
+            pytest.param(lambda pi: pi.astype(complex), id="complex"),
+            pytest.param(lambda pi: [repr(p) for p in pi], id="numeric-strings"),
+            pytest.param(lambda pi: dict(enumerate(pi)), id="dict"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s, pi: ci_decay(s, pi, "a", "b", ("c",)), id="ci_decay"),
+            pytest.param(lambda s, pi: simulate(s, pi, 1.0, seed=0), id="simulate"),
+            pytest.param(lambda s, pi: simulate_batch(s, pi, 1.0, 0, 2), id="simulate_batch"),
+        ],
+    )
+    def test_distribution_is_never_reinterpreted(self, cycle3_spec, make, call):
+        # a law is a vector of int or float numbers: a bool vector is not
+        # read as 1.0/0.0, nor complex numbers without their imaginary
+        # part, nor strings as the numbers they spell
+        pi = np.zeros(cycle3_spec.space.n_states)
+        pi[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^distribution must be numbers$"):
+                call(cycle3_spec, make(pi))
+
     def test_rejects_bad_windows(self, cycle3_spec):
         pi = uniform_distribution(cycle3_spec.space)
         with pytest.raises(ValueError, match="decreasing"):
@@ -826,6 +856,41 @@ class TestCiDecay:
         monkeypatch.setattr(cfmp, "_expm_uniformized", dense)
         report = ci_decay(visits_spec, pi, "hosp", "survival", ("health", "visits"))
         assert report.to_json_dict() == expected.to_json_dict()
+
+
+class TestDecayMatchesReferenceKernel:
+    """The flat-take step and the bincount tables against the fancy-index
+    step and the np.add.at tables, exactly, not within a tolerance."""
+
+    def test_random_specs(self):
+        rng = random.Random(7)
+        count = three_state_targets = 0
+        for _ in range(60):
+            spec = random_spec(rng)
+            names = spec.space.names
+            laws = (
+                uniform_distribution(spec.space),
+                stationary_distribution(build_generator(spec)),
+            )
+            for pi, source, target in itertools.product(laws, names, names):
+                if source != target:
+                    rest = tuple(n for n in names if n not in (source, target))
+                    for cond in (rest, ()):
+                        assert_decay_matches_reference(spec, pi, target, source, cond)
+                        count += 1
+                        three_state_targets += spec.space.cards[names.index(target)] == 3
+        assert count == 1456 and three_state_targets > 0
+
+    def test_1024_state_ring(self):
+        spec = binary_ring(10)
+        assert spec.space.n_states == 1024
+        pi = np.random.default_rng(3).dirichlet(np.ones(1024))
+        pi /= pi.sum()
+        names = spec.space.names
+        for source, target in (("c0", "c1"), ("c5", "c1")):
+            # the empty set sums 512 states into each joint cell
+            for cond in ([n for n in names if n not in (source, target)], ()):
+                assert_decay_matches_reference(spec, pi, target, source, cond)
 
 
 class TestStationaryDistribution:

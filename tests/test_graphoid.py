@@ -108,6 +108,13 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="ground labels must hash and sort"):
             check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
 
+    def test_unsortable_ground_rejected_by_constant_oracle(self):
+        # the oracle's ground is stored sorted, by the same helper the
+        # truth table sorts with
+        with pytest.raises(ValueError, match="ground labels must hash and sort"):
+            constant_oracle(["a", 1])
+        assert constant_oracle(["b", "a", "b"]).ground == ("a", "b")
+
     def test_string_ground_rejected(self):
         # a string would be read as its characters
         with pytest.raises(ValueError, match="ground .* the string 'abc'"):
