@@ -60,7 +60,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .graphs import DiGraph, UnknownNodeError, _check_count, _check_label, _collection, _is_int
-from .graphs import _label_set
+from .graphs import _label_set, _typed
 from .graphs import _ARRAY, _INT, _OBJECT, _STRING, _field, _load_json, _number, _real, _strings
 from .graphoid import IrrelevanceOracle, OracleDomainError
 
@@ -164,8 +164,7 @@ class CfmpSpec:
     intensities: Mapping[str, ComponentIntensity]
 
     def __post_init__(self):
-        if not isinstance(self.space, ComponentSpace):
-            raise ValueError(f"a spec's space must be a ComponentSpace, not {self.space!r}")
+        _typed(self.space, ComponentSpace, "a spec's space must be a ComponentSpace")
         if not isinstance(self.intensities, Mapping):
             raise ValueError(f"a spec's intensities must be a mapping, not {self.intensities!r}")
         object.__setattr__(self, "intensities", MappingProxyType(dict(self.intensities)))
@@ -289,8 +288,7 @@ def _check_path(space: ComponentSpace, initial, times, components, states, horiz
     state index and dwell time."""
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"trajectory horizon must be a positive finite number, got {horizon!r}")
-    if not isinstance(space, ComponentSpace):
-        raise ValueError(f"a trajectory's space must be a ComponentSpace, not {space!r}")
+    _typed(space, ComponentSpace, "a trajectory's space must be a ComponentSpace")
     if not 0 < space.n_states <= MAX_PRODUCT_STATES:
         raise ValueError(f"a trajectory's space must have 1 to {MAX_PRODUCT_STATES} states")
     cards, init = np.array(space.cards), _array(initial, "iu", "initial states")
@@ -503,6 +501,12 @@ class _Compiled:
 # --- constancy checks and graph derivation ------------------------------------
 
 
+def _compile(spec: CfmpSpec) -> _Compiled:
+    """The compiled form of ``spec``, which must be a CfmpSpec; the spec
+    is validated on the first call."""
+    return _typed(spec, CfmpSpec, "specs must be CfmpSpec instances")._compiled
+
+
 def _constant_in(spec: CfmpSpec, component: str, sources) -> bool:
     """True iff the component's rates do not vary, up to
     RATE_CONSTANCY_RTOL, with the states of its declared dependencies in
@@ -528,7 +532,7 @@ def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> fr
 def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str]) -> bool:
     """True iff the component's rate table is constant in every declared
     dependency outside ``keep`` (i.e. it factors through ``keep``)."""
-    spec._compiled  # validates the spec, once
+    _compile(spec)  # validates the spec, once
     spec.space.index_of(component)
     keep = _component_set(spec.space, keep, "keep")
     return _constant_in(spec, component, set(spec.space.names) - keep)
@@ -537,7 +541,7 @@ def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str
 def is_locally_independent(spec: CfmpSpec, source: str, target: str) -> bool:
     """True iff the target component's intensity is constant in the
     source component's state (a declared dependency may still be vacuous)."""
-    spec._compiled  # validates the spec, once
+    _compile(spec)  # validates the spec, once
     if source == target:
         raise ValueError(f"source and target must differ (got {source!r})")
     spec.space.index_of(source)
@@ -554,7 +558,7 @@ def set_locally_independent(
     """True iff every target component's intensity is constant in all the
     source components' states.  The three sets must be pairwise disjoint
     and jointly cover every component."""
-    spec._compiled  # validates the spec, once
+    _compile(spec)  # validates the spec, once
     b = _component_set(spec.space, sources, "sources")
     a = _component_set(spec.space, targets, "targets")
     c = _component_set(spec.space, given, "given")
@@ -569,7 +573,7 @@ def set_locally_independent(
 
 def _declared_dependencies(spec: CfmpSpec) -> list[tuple[str, str, bool]]:
     """Every declared dependency (j, k) with whether it is vacuous."""
-    spec._compiled  # validates the spec, once
+    _compile(spec)  # validates the spec, once
     return [
         (j, k, _constant_in(spec, k, (j,)))
         for k in spec.space.names
@@ -595,7 +599,7 @@ def vacuous_dependencies(spec: CfmpSpec) -> list[tuple[str, str]]:
 def build_generator(spec: CfmpSpec) -> Generator:
     """Joint rate matrix; entries between states that differ in two or
     more components are identically zero."""
-    comp = spec._compiled
+    comp = _compile(spec)
     n = spec.space.n_states
     q = np.zeros((n, n))
     q[np.arange(n)[:, None], comp.dst] = comp.rate
@@ -616,7 +620,8 @@ def transition_matrix(gen: Generator, h: float) -> np.ndarray:
     number (a bool is not one)."""
     if not (_real(h) and 0 <= h < math.inf):
         raise ValueError(f"window length must be a nonnegative finite number, got {h!r}")
-    return _expm_uniformized(np.asarray(gen.matrix, dtype=float), float(h))
+    q = _typed(gen, Generator, "generators must be Generator instances").matrix
+    return _expm_uniformized(np.asarray(q, dtype=float), float(h))
 
 
 def _expm_uniformized(q: np.ndarray, h: float) -> np.ndarray:
@@ -708,7 +713,7 @@ def stationary_distribution(gen: Generator) -> np.ndarray:
     """Solve pi @ Q = 0 with unit mass by least squares.  Raises
     ValueError when the solution is not unique, which is when the chain
     has more than one closed communicating class."""
-    q = gen.matrix
+    q = _typed(gen, Generator, "generators must be Generator instances").matrix
     n = q.shape[0]
     a = np.vstack([q.T, np.ones(n)])
     # lstsq cuts rank relative to the largest singular value, so bring Q
@@ -778,7 +783,10 @@ class CiDecayReport:
 def classify_decay(hs: Sequence[float], cmis: Sequence[float]) -> tuple[str, tuple[float, ...]]:
     """Decay class from fitted log-log slopes between consecutive rungs:
     "zero" when nothing rises above noise, otherwise "fast" for slopes
-    at or above DECAY_ORDER_SPLIT and "slow" below it."""
+    at or above DECAY_ORDER_SPLIT and "slow" below it.  ``hs`` and
+    ``cmis`` of different lengths are a ValueError."""
+    if len(hs) != len(cmis):
+        raise ValueError(f"{len(hs)} window lengths but {len(cmis)} values")
     orders = []
     for i in range(len(hs) - 1):
         if cmis[i] > CMI_ZERO_TOL and cmis[i + 1] > CMI_ZERO_TOL:
@@ -817,7 +825,7 @@ def ci_decay(
     through the spec's compiled transitions; the dense P(h) is never
     formed.
     """
-    comp = spec._compiled
+    comp = _compile(spec)
     space = spec.space
     pi = _check_distribution(space, pi)
     t_idx = space.index_of(target)
@@ -921,7 +929,7 @@ def simulate_batch(
     positive finite real number; a bool is neither."""
     _check_count(seed, "seed")
     _check_count(count, "count")
-    comp = spec._compiled
+    comp = _compile(spec)
     if not (_real(horizon) and 0 < horizon < math.inf):
         raise ValueError(f"horizon must be a positive finite number, got {horizon!r}")
     _check_means(float(comp.exit_rate.max()), (horizon,), MAX_HORIZON_MEAN, "horizon")
@@ -999,11 +1007,11 @@ def estimate_intensities(
     """Rate estimates under the spec's dependency structure: events in a
     cell divided by the total time exposed in that cell.  Raises
     ValueError when a trajectory's space is not the spec's."""
-    comp = spec._compiled
+    comp = _compile(spec)
     space = spec.space
     trajectories = _collection(trajectories, "trajectories", "collection of trajectories")
     for traj in trajectories:
-        if _trajectory(traj).space != space:
+        if _typed(traj, Trajectory, "trajectories must be Trajectory instances").space != space:
             raise ValueError(f"a trajectory's space does not fit the spec's {space}")
     none = [np.zeros(0, dtype=int)]
     seg = np.concatenate(none + [traj._segments for traj in trajectories])
@@ -1043,7 +1051,7 @@ def local_independence_oracle(spec: CfmpSpec) -> IrrelevanceOracle:
     """Irrelevance by intensity constancy.  Only triples that partition
     the component set are in the oracle's domain; others raise
     OracleDomainError and are skipped by the axiom checkers."""
-    spec._compiled  # validates the spec, once
+    _compile(spec)  # validates the spec, once
 
     def query(a: frozenset, b: frozenset, c: frozenset) -> bool:
         try:
@@ -1060,6 +1068,7 @@ def local_independence_oracle(spec: CfmpSpec) -> IrrelevanceOracle:
 
 
 def spec_to_json_dict(spec: CfmpSpec) -> dict:
+    _typed(spec, CfmpSpec, "specs must be CfmpSpec instances")
     comps = [
         {"name": n, "states": c} for n, c in zip(spec.space.names, spec.space.cards)
     ]
@@ -1121,17 +1130,10 @@ def spec_from_json(text: str) -> CfmpSpec:
     return spec_from_json_dict(_load_json(text))
 
 
-def _trajectory(value) -> Trajectory:
-    """``value``, which must be a Trajectory; anything else is a ValueError."""
-    if not isinstance(value, Trajectory):
-        raise ValueError(f"trajectories must be Trajectory instances, not {value!r}")
-    return value
-
-
 def trajectory_to_jsonl(traj: Trajectory, space: ComponentSpace) -> str:
     """The JSONL text of ``traj``: a ``json.dumps`` header line, then one
     event line per jump, formatted as ``json.dumps`` would format it."""
-    if space != _trajectory(traj).space:
+    if space != _typed(traj, Trajectory, "trajectories must be Trajectory instances").space:
         raise ValueError(f"a trajectory over {traj.space} cannot be written over {space}")
     header = dict(components=list(space.names), initial=list(traj.initial), horizon=traj.horizon)
     names = [json.dumps(n) for n in space.names]

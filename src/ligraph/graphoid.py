@@ -43,42 +43,37 @@ every singleton ``k`` of ``S``.  The declarations run in two places:
   variable W: a set that each of its queries takes bare, never inside
   ``|``, ``&`` or ``-``, in the same one of the first two argument
   slots, preferably one the side condition does not read; it is traced
-  once per entry with ``_Calls`` and ``_Uses``.  The truth table asks
-  the oracle each distinct triple once (for an ``overlap_reducible``
-  oracle such as delta-separation only the reduced triples (A-(B|C), B,
-  C-B) of ``separation._reduce_masks``).  When the query is the one
-  ``delta_separation_oracle`` made and the ground holds exactly its
-  graph's labels, in any order, the distinct triples are instead
-  answered together by the array trail procedure of ``separation``; a
-  query replaced by any other callable, such as a counting wrapper, is
-  asked triple by triple.  The table packs the answers, per slot, into
-  S-bit words (S = 2^n subsets; uint8 up to S = 8, then uint16 and
-  uint32) whose bit r is the triple with rank r in that slot.  Every other set is an array of
-  subset masks, bit i for the i-th label in sorted order, and the set
-  operators are bitwise; ranks serve only as the bit order of a word and
-  as lattice positions.  A query is then one gather of words at the
-  other two arguments' masks, and one word operation decides S
-  instances.  The coupled variables are the first one but W and the
-  others the side condition reads; the rest but W are free.  The coupled
-  rank tuples are listed once per side condition, W and ground size, on
-  first use, in rank space: each listed tuple stores a side word whose
-  bit r says whether the side condition holds with W at rank r, and
-  tuples whose side word is zero are not listed.  The evaluator runs the
-  rule once, on the listed tuples on one axis and each free variable on
-  its own.  A violation is a bit of premise AND NOT conclusion (the
-  literal premise ``True`` is every rank, ``==`` the bitwise
-  biconditional) that is also set in the side word and, when some triple
-  is out of the oracle's domain, in the evaluability words; the lowest
-  such bit of a word is W's least rank there, and the first
-  counterexample is the least lattice position over the violating words.
-  ``checked`` counts the admitted bits whose queries are all evaluable.
-  The guard is asked in rank space (``_RankSpace``): the set bits of the
-  violating words are unpacked into rank tuples, each rank is replaced
-  by its mask, and each query is one ``take`` from the flat truth table
-  at the masks' ``a*S^2 + b*S + c``, in ``uint16`` (``RANK_DTYPE``).
-  When some triple is unevaluable the guard is asked at every admitted
-  bit whose rule queries are evaluable instead, so that ``checked``
-  covers its queries;
+  once per entry with ``_Calls`` and ``_Uses``.  The truth table is the
+  oracle's ``table`` when it has one (``delta_separation_oracle`` asks
+  the array trail procedure of ``separation`` its 4^n reduced triples)
+  and is otherwise asked of ``query`` triple by triple.  The table packs
+  the answers, per slot, into S-bit words (S = 2^n subsets; uint8 up to
+  S = 8, then uint16 and uint32) whose bit r is the triple with rank r
+  in that slot.  Every other set is an array of subset masks, bit i for
+  the i-th label in sorted order, and the set operators are bitwise;
+  ranks serve only as the bit order of a word and as lattice positions.
+  A query is then one gather of words at the other two arguments' masks,
+  and one word operation decides S instances.  The coupled variables are
+  the first one but W and the others the side condition reads; the rest
+  but W are free.  The coupled rank tuples are listed once per side
+  condition, W and ground size, on first use, in rank space: each listed
+  tuple stores a side word whose bit r says whether the side condition
+  holds with W at rank r, and tuples whose side word is zero are not
+  listed.  The evaluator runs the rule once, on the listed tuples on one
+  axis and each free variable on its own.  A violation is a bit of
+  premise AND NOT conclusion (the literal premise ``True`` is every
+  rank, ``==`` the bitwise biconditional) that is also set in the side
+  word and, when some triple is out of the oracle's domain, in the
+  evaluability words; the lowest such bit of a word is W's least rank
+  there, and the first counterexample is the least lattice position over
+  the violating words.  ``checked`` counts the admitted bits whose
+  queries are all evaluable.  The guard is asked in rank space
+  (``_RankSpace``): the set bits of the violating words are unpacked
+  into rank tuples, each rank is replaced by its mask, and each query is
+  one ``take`` from the flat truth table at the masks'
+  ``a*S^2 + b*S + c``, in ``uint16`` (``RANK_DTYPE``).  When some triple
+  is unevaluable the guard is asked at every admitted bit whose rule
+  queries are evaluable instead, so that ``checked`` covers its queries;
 - the replay (``violates``): the sets are frozensets and ``q`` is the
   raw oracle, which re-checks a reported counterexample independently
   of the truth table and of any listing.  The side condition, the rule
@@ -100,15 +95,17 @@ result.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .graphs import DiGraph, UGraph, _check_count, _collection, _label_set, enumerate_digraphs
+from .graphs import DiGraph, UGraph, _check_count, _collection, _label_set, _typed
+from .graphs import enumerate_digraphs
 from .separation import EnumerationGuardError, _delta_trail_arrays, _reduce_masks
 from .separation import delta_separates_masks
 
@@ -129,21 +126,22 @@ class OracleDomainError(Exception):
 class IrrelevanceOracle:
     """A ternary irrelevance predicate over subsets of ``ground``.
 
-    ``query`` must be total and deterministic, except that it may raise
-    OracleDomainError for triples outside a declared domain; such
-    instances are skipped (and counted) by the checkers, whatever
-    ``overlap_reducible`` says.
+    ``query`` must be total and deterministic and answer a bool, except
+    that it may raise OracleDomainError for triples outside a declared
+    domain; such instances are skipped (and counted) by the checkers.
 
-    ``overlap_reducible`` asserts query(A,B,C) == query(A-(B|C), B, C-B)
-    for every triple, including whether it raises OracleDomainError,
-    which lets the table builder ask the reduced triples only.  Set it
-    only for relations where that identity holds.
+    ``table``, if given, answers every triple at once: called with the
+    ground's labels in sorted order, it returns bool arrays ``(values,
+    evaluable)`` at the flat indices a*S^2 + b*S + c of all the triples'
+    masks that equal asking ``query`` on each, ``evaluable`` False where
+    it raises OracleDomainError.  A wrapper that changes the answers
+    must replace or drop ``table``.
     """
 
     ground: tuple[str, ...]
     query: Callable[[frozenset, frozenset, frozenset], bool]
     name: str = "oracle"
-    overlap_reducible: bool = False
+    table: Callable[[list], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 class Axiom(Enum):
@@ -337,46 +335,45 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     if len(labels) != len(ground):
         raise ValueError(f"ground has repeated labels: {list(ground)}")
     t = _tables(ground)
-    asked, flat, triple = _asked(t.size, oracle.overlap_reducible)
-    values = np.zeros(t.size**3, dtype=bool)
-    evaluable = np.ones(t.size**3, dtype=bool)
-    query = oracle.query
-    if isinstance(query, _DeltaSeparationQuery) and labels == list(query.g.labels):
-        values[flat] = _delta_trail_arrays(query.g, *triple)
-    else:
-        sets = t.sets
-        for at, ma, mb, mc in zip(flat.tolist(), *(m.tolist() for m in triple)):
-            try:
-                values[at] = query(sets[ma], sets[mb], sets[mc])
-            except OracleDomainError:
-                evaluable[at] = False
+    values, evaluable = (oracle.table or partial(_ask_each, oracle.query))(labels)
     all_evaluable = bool(evaluable.all())
-    values, evaluable = values[asked], evaluable[asked]
     words = _slot_words(values, t)
     evaluable_words = None if all_evaluable else _slot_words(evaluable, t)
     return TruthTable(t, values, evaluable, all_evaluable, words, evaluable_words)
 
 
+def _ask_each(query, labels: list) -> tuple[np.ndarray, np.ndarray]:
+    """The table of ``query`` over ``labels``, asked triple by triple in
+    flat index order; an answer that is not a bool is a ValueError."""
+    sets = _tables(tuple(labels)).sets
+    values = np.zeros(len(sets) ** 3, dtype=bool)
+    evaluable = np.ones_like(values)
+    for at, (a, b, c) in enumerate(itertools.product(sets, repeat=3)):
+        try:
+            answer = query(a, b, c)
+        except OracleDomainError:
+            evaluable[at] = False
+            continue
+        if not isinstance(answer, (bool, np.bool_)):
+            raise ValueError(f"answer {answer!r} at {[*map(sorted, (a, b, c))]} is not a bool")
+        values[at] = answer
+    shape = (len(sets),) * 3
+    return values.reshape(shape), evaluable.reshape(shape)
+
+
 @lru_cache(maxsize=None)
-def _asked(size: int, overlap_reducible: bool):
-    """What a truth table over S = ``size`` subsets asks, as read-only
-    arrays: per cell, the flat index a*S^2 + b*S + c of the triple it
-    asks (for an ``overlap_reducible`` oracle the reduced triple); the
-    distinct flat indices, ascending; and their masks (a, b, c)."""
+def _asked(size: int):
+    """What a delta-separation table over S = ``size`` subsets asks, as
+    read-only arrays: the masks (a, b, c) of the reduced triples, which
+    are the pairwise disjoint ones, in flat index order; and per cell
+    the flat index a*S^2 + b*S + c of its reduced triple (A-(B|C), B,
+    C-B)."""
     a, b, c = _axes(size, 3)
-    if overlap_reducible:
-        a, b, c = _reduce_masks(a, b, c)
-    asked = (a * RANK_DTYPE(size * size) + b * RANK_DTYPE(size)) + c
-    # the distinct ones are found with a mask: np.unique's first call
-    # imports numpy.ma, about 1.7 MB of resident memory
-    distinct = np.zeros(size**3, dtype=bool)
-    distinct[asked] = True
-    flat = np.flatnonzero(distinct).astype(RANK_DTYPE)
-    ma, rest = np.divmod(flat, RANK_DTYPE(size * size))
-    triple = (ma, *np.divmod(rest, RANK_DTYPE(size)))
-    for array in (asked, flat, *triple):
+    triple = tuple(m.astype(RANK_DTYPE) for m in np.nonzero(((a & b) | ((a | b) & c)) == 0))
+    asked = np.ravel_multi_index(_reduce_masks(a, b, c), (size,) * 3).astype(RANK_DTYPE)
+    for array in (asked, *triple):
         array.flags.writeable = False
-    return asked, flat, triple
+    return triple, asked
 
 
 def _axes(size: int, k: int):
@@ -817,10 +814,9 @@ def _check(tt: TruthTable, prop: Axiom | DerivedProperty) -> CheckReport:
 def _table_for(oracle: IrrelevanceOracle, table: TruthTable | None) -> TruthTable:
     if table is None:
         return build_truth_table(oracle)
-    if table.tables.ground != tuple(oracle.ground):
-        raise ValueError(
-            f"truth table is for ground {list(table.tables.ground)}, not {list(oracle.ground)}"
-        )
+    ground = _typed(table, TruthTable, "tables must be TruthTable instances").tables.ground
+    if ground != tuple(oracle.ground):
+        raise ValueError(f"truth table is for ground {list(ground)}, not {list(oracle.ground)}")
     return table
 
 
@@ -856,10 +852,8 @@ def check_semigraphoid_profile(
     if expected is not None and not isinstance(expected, Mapping):
         raise ValueError(f"the expected pattern must map axioms to bools, not {expected!r}")
     for key, want in (expected or {}).items():
-        if not isinstance(key, Axiom):
-            raise ValueError(f"expected pattern keys must be axioms, not {key!r}")
-        if not isinstance(want, bool):
-            raise ValueError(f"expected pattern values must be bools, not {want!r}")
+        _typed(key, Axiom, "expected pattern keys must be axioms")
+        _typed(want, bool, "expected pattern values must be bools")
     tt = _table_for(oracle, table)
     reports = tuple(check_axiom(oracle, ax, tt) for ax in GRAPHOID_AXIOMS)
     matches = None
@@ -927,33 +921,24 @@ def violates(
 # --- oracle factories --------------------------------------------------------
 
 
-class _DeltaSeparationQuery:
-    """The query of ``delta_separation_oracle``.  A call asks one triple
-    of label sets with ``delta_separates_masks``.  ``build_truth_table``
-    recognises this type and answers all its triples at once with the
-    array trail form ``separation._delta_trail_arrays`` on ``g``, as
-    ``all_separations`` does; an oracle whose query is replaced, such as
-    by a counting wrapper, is asked triple by triple."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: DiGraph):
-        self.g = g
-
-    def __call__(self, a: frozenset, b: frozenset, c: frozenset) -> bool:
-        g = self.g
-        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
-
-
 def delta_separation_oracle(g: DiGraph) -> IrrelevanceOracle:
     """Irrelevance via graph separation: (a, b, c) true iff c separates
-    a from b in g."""
-    return IrrelevanceOracle(
-        ground=g.labels,
-        query=_DeltaSeparationQuery(g),
-        name="delta-separation",
-        overlap_reducible=True,
-    )
+    a from b in g.  Its table asks the array trail procedure only the
+    reduced triples of ``_asked``; labels other than g's are a
+    ValueError."""
+
+    def query(a: frozenset, b: frozenset, c: frozenset) -> bool:
+        return delta_separates_masks(g, g.mask_of(a), g.mask_of(b), g.mask_of(c))
+
+    def table(labels: list) -> tuple[np.ndarray, np.ndarray]:
+        if tuple(labels) != g.labels:
+            raise ValueError(f"a graph on {list(g.labels)} has no table over {list(labels)}")
+        triple, asked = _asked(1 << len(labels))
+        values = np.zeros(asked.shape, dtype=bool)
+        values[triple] = _delta_trail_arrays(g, *triple)
+        return values.take(asked), np.ones(asked.shape, dtype=bool)
+
+    return IrrelevanceOracle(g.labels, query, "delta-separation", table)
 
 
 def undirected_separation_oracle(h: UGraph) -> IrrelevanceOracle:
@@ -966,6 +951,7 @@ def undirected_separation_oracle(h: UGraph) -> IrrelevanceOracle:
 
 
 def constant_oracle(ground, value: bool = True) -> IrrelevanceOracle:
+    _typed(value, (bool, np.bool_), "a constant oracle's value must be a bool")
     ground = tuple(_sorted_ground(_label_set(ground, "ground")))
     return IrrelevanceOracle(
         ground=ground, query=lambda a, b, c: value, name=f"constant-{value}"

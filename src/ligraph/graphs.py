@@ -68,6 +68,15 @@ def _label_set(value, what: str) -> frozenset:
         raise GraphError(f"{what} must be a set of labels, not {value!r}") from None
 
 
+def _typed(value, cls, what: str):
+    """``value``, which must be a ``cls``; anything else is the one-line
+    ValueError "``what``, not ``value``", a multi-line repr by its type."""
+    if not isinstance(value, cls):
+        shown = repr(value) if "\n" not in repr(value) else f"a {type(value).__name__}"
+        raise ValueError(f"{what}, not {shown}")
+    return value
+
+
 def _is_int(value) -> bool:
     """Whether ``value`` is an int, numpy ints included; a bool is not one."""
     # the type test first: an ABC isinstance costs about ten times more

@@ -347,6 +347,56 @@ class TestValidation:
         with pytest.raises(ValueError, match=match):
             CfmpSpec(space, intensities)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda spec, bad: build_generator(bad), "specs", id="build_generator"),
+        pytest.param(lambda spec, bad: derive_graph(bad), "specs", id="derive_graph"),
+        pytest.param(lambda spec, bad: vacuous_dependencies(bad), "specs", id="vacuous"),
+        pytest.param(
+            lambda spec, bad: component_depends_only_on(bad, "a", ()), "specs", id="depends_only_on"
+        ),
+        pytest.param(
+            lambda spec, bad: is_locally_independent(bad, "a", "b"), "specs", id="is_locally"
+        ),
+        pytest.param(
+            lambda spec, bad: set_locally_independent(bad, "a", "b", "c"), "specs", id="set_locally"
+        ),
+        pytest.param(lambda spec, bad: ci_decay(bad, [1.0], "a", "b"), "specs", id="ci_decay"),
+        pytest.param(lambda spec, bad: simulate(bad, [1.0], 1.0, 0), "specs", id="simulate"),
+        pytest.param(
+            lambda spec, bad: simulate_batch(bad, [1.0], 1.0, 0, 1), "specs", id="simulate_batch"
+        ),
+        pytest.param(lambda spec, bad: estimate_intensities([], bad), "specs", id="estimate"),
+        pytest.param(lambda spec, bad: local_independence_oracle(bad), "specs", id="oracle"),
+        pytest.param(lambda spec, bad: spec_to_json_dict(bad), "specs", id="to_json_dict"),
+        pytest.param(lambda spec, bad: spec_to_json(bad), "specs", id="to_json"),
+        pytest.param(lambda spec, bad: transition_matrix(spec, 0.2), "generators", id="transition"),
+        pytest.param(
+            lambda spec, bad: stationary_distribution(build_generator(spec).matrix),
+            "generators",
+            id="stationary",
+        ),
+        pytest.param(
+            lambda spec, bad: classify_decay((0.1, 0.05, 0.02), (1e-3, 1e-4)),
+            "3 window lengths but 2 values",
+            id="classify-short-cmis",
+        ),
+        pytest.param(
+            lambda spec, bad: classify_decay((0.1, 0.05), (1e-3, 1e-4, 1e-5)),
+            "2 window lengths but 3 values",
+            id="classify-long-cmis",
+        ),
+    ])
+    def test_wrong_argument_types_are_value_errors(self, cycle3_spec, call, message):
+        # a spec's JSON dict in place of the spec, the spec or a matrix in
+        # place of a generator: each was an AttributeError, and a short
+        # list of values an IndexError
+        bad = spec_to_json_dict(cycle3_spec)
+        with pytest.raises(ValueError, match=message) as error:
+            call(cycle3_spec, bad)
+        assert "\n" not in str(error.value)
+        if message in ("specs", "generators"):
+            assert str(error.value).startswith(f"{message} must be ")
+
 
 class TestComponentSpace:
     def test_keeps_names_and_int_cards(self):

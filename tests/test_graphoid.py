@@ -139,6 +139,41 @@ class TestInputValidation:
         table = build_truth_table(oracle)
         assert check_axiom(oracle, Axiom.RIGHT_DECOMPOSITION, table).checked == 6**4 * 16
 
+    @pytest.mark.parametrize("table", ["table", {}, 0, np.zeros(64, dtype=bool)])
+    def test_table_must_be_a_truth_table(self, table):
+        oracle = constant_oracle(tuple("ab"))
+        message = "tables must be TruthTable instances, not "
+        with pytest.raises(ValueError, match=message):
+            check_axiom(oracle, Axiom.RIGHT_DECOMPOSITION, table)
+        with pytest.raises(ValueError, match=message):
+            check_derived(oracle, DerivedProperty.LEFT_TRIM, table)
+        with pytest.raises(ValueError, match=message):
+            check_semigraphoid_profile(oracle, None, table)
+
+    @pytest.mark.parametrize("answer", ["no", None, 0, 1, 1.0, np.int64(1), np.array([True])])
+    def test_oracle_answers_must_be_bools(self, answer):
+        # "no" would read as True and None as False
+        def query(a, b, c):
+            return answer if (a, b, c) == (frozenset("a"), frozenset(), frozenset("b")) else False
+
+        oracle = IrrelevanceOracle(ground=("a", "b"), query=query)
+        message = r"answer .* at \[\['a'\], \[\], \['b'\]\] is not a bool"
+        with pytest.raises(ValueError, match=message):
+            build_truth_table(oracle)
+        with pytest.raises(ValueError, match=message):
+            check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
+
+    @pytest.mark.parametrize("answer", [True, False, np.True_, np.False_])
+    def test_bool_answers_are_read_as_given(self, answer):
+        table = build_truth_table(IrrelevanceOracle(("a", "b"), lambda a, b, c: answer))
+        assert table.values.dtype == bool and (table.values == answer).all()
+
+    @pytest.mark.parametrize("value", [0, 1, "yes", None])
+    def test_constant_value_must_be_a_bool(self, value):
+        # value=0 would make a "constant-0" oracle
+        with pytest.raises(ValueError, match="value must be a bool, not"):
+            constant_oracle(("a", "b"), value)
+
     @pytest.mark.parametrize("key", [DerivedProperty.LEFT_TRIM, "left_redundancy"])
     def test_expected_keys_must_be_axioms(self, monkeypatch, key):
         def no_check(*args):
@@ -696,14 +731,13 @@ class TestPinnedReports:
 
 
 def _loop_table(oracle):
-    """The truth table of ``oracle`` asked triple by triple: a plain
-    function wrapping its query never reaches the delta-separation
-    kernel."""
-    query = oracle.query
-    return build_truth_table(dataclasses.replace(oracle, query=lambda a, b, c: query(a, b, c)))
+    """The truth table of ``oracle`` asked triple by triple: with no
+    ``table``, ``build_truth_table`` asks the query."""
+    return build_truth_table(dataclasses.replace(oracle, table=None))
 
 
 def _assert_same_table(got, expected):
+    assert got.values.shape == expected.values.shape == got.evaluable.shape
     assert (got.values == expected.values).all()
     assert (got.evaluable == expected.evaluable).all()
     assert got.all_evaluable == expected.all_evaluable
@@ -725,32 +759,40 @@ class TestReducibleTableMatchesGenericTable:
             assert (fast.evaluable == generic.evaluable).all(), g.edges
             assert fast.all_evaluable and generic.all_evaluable
 
-    @pytest.mark.parametrize("reducible", [True, False])
-    def test_kernel_table_equals_loop_table(self, monkeypatch, reducible):
-        """A delta-separation query over its graph's labels, in any order,
-        fills the table with the array kernel, asking no triple alone;
-        unreduced triples are reduced by the kernel."""
+    def test_kernel_table_equals_loop_table(self, monkeypatch):
+        """A delta-separation oracle over its graph's labels, in any order,
+        fills the table with the array kernel, asking no triple alone."""
         rng = random.Random(12)
         for labels in ("abc", "abcd", "abcde"):
             for _ in range(3):
                 g = random_digraph(tuple(labels), rng, p=rng.uniform(0.1, 0.7))
-                query = delta_separation_oracle(g).query
                 for ground in (g.labels, tuple(rng.sample(g.labels, len(g.labels)))):
-                    oracle = IrrelevanceOracle(ground, query, overlap_reducible=reducible)
+                    oracle = dataclasses.replace(delta_separation_oracle(g), ground=ground)
                     expected = _loop_table(oracle)
                     with monkeypatch.context() as m:
                         m.setattr(graphoid, "delta_separates_masks", None)
                         got = build_truth_table(oracle)
                     _assert_same_table(got, expected)
 
+    def test_table_refuses_other_labels(self):
+        """The kernel table answers only its graph's labels: other labels
+        are a one-line ValueError, and a permuted ground the same table."""
+        oracle = delta_separation_oracle(random_digraph(tuple("abc"), random.Random(15), p=0.5))
+        for ground in (("a", "b", "z"), ("a", "b"), tuple("abcd")):
+            with pytest.raises(ValueError, match=r"a graph on \['a', 'b', 'c'\] has no table") as e:
+                build_truth_table(dataclasses.replace(oracle, ground=ground))
+            assert "\n" not in str(e.value)
+        permuted = dataclasses.replace(oracle, ground=("c", "a", "b"))
+        _assert_same_table(build_truth_table(permuted), build_truth_table(oracle))
+
     def test_other_grounds_are_asked_triple_by_triple(self):
         g = random_digraph(tuple("abcd"), random.Random(13), p=0.5)
         query = delta_separation_oracle(g).query
-        subset = IrrelevanceOracle(("d", "b", "a"), query, overlap_reducible=True)
+        subset = IrrelevanceOracle(("d", "b", "a"), query)
         _assert_same_table(build_truth_table(subset), _loop_table(subset))
         # a label the graph lacks fails the first query that holds it
         for ground in (tuple("abcz"), tuple("abcde")):
-            oracle = IrrelevanceOracle(ground, query, overlap_reducible=True)
+            oracle = IrrelevanceOracle(ground, query)
             with pytest.raises(UnknownNodeError) as loop_error:
                 _loop_table(oracle)
             with pytest.raises(UnknownNodeError) as error:
@@ -760,22 +802,24 @@ class TestReducibleTableMatchesGenericTable:
     @pytest.mark.parametrize("n", range(MAX_AXIOM_GROUND + 1))
     def test_ground_arrays_are_cached_read_only(self, n):
         size = 1 << n
-        for reducible, distinct in ((True, 4**n), (False, size**3)):
-            asked, flat, triple = graphoid._asked(size, reducible)
-            assert graphoid._asked(size, reducible)[0] is asked
-            assert len(flat) == distinct and (np.diff(flat.astype(int)) > 0).all()
-            assert (np.unique(asked) == flat).all()
-            a, b, c = (m.astype(int) for m in triple)
-            assert (flat == a * size * size + b * size + c).all()
-            if reducible:
-                assert not (a & (b | c)).any() and not (b & c).any()
-            for array in (asked, flat, *triple):
-                assert not array.flags.writeable
+        triple, asked = graphoid._asked(size)
+        assert graphoid._asked(size)[1] is asked
+        a, b, c = (m.astype(int) for m in triple)
+        flat = a * size * size + b * size + c
+        assert len(flat) == 4**n and (np.diff(flat) > 0).all()
+        assert not (a & (b | c)).any() and not (b & c).any()
+        assert (np.unique(asked) == flat).all()
+        # every cell asks its reduced triple (A-(B|C), B, C-B)
+        ra, rb, rc = np.unravel_index(np.arange(size**3), (size,) * 3)
+        assert (asked.ravel() == (ra & ~(rb | rc)) * size * size + rb * size + (rc & ~rb)).all()
+        for array in (asked, *triple):
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("labels", ["abc", "abcd"])
     def test_replaced_query_is_asked_once_per_distinct_triple(self, labels):
-        # how perfbench's traced run counts oracle calls: the kernel stays
-        # with the query it belongs to, so the wrapper is asked
+        # how perfbench's traced run counts oracle calls: a wrapper that
+        # replaces the query keeps the table, which the kernel fills; with
+        # the table dropped, the wrapper is asked every triple once
         oracle = delta_separation_oracle(random_digraph(tuple(labels), random.Random(14), p=0.5))
         asked = []
 
@@ -783,14 +827,17 @@ class TestReducibleTableMatchesGenericTable:
             asked.append((a, b, c))
             return oracle.query(a, b, c)
 
-        table = build_truth_table(dataclasses.replace(oracle, query=counting))
-        assert len(asked) == len(set(asked)) == 4 ** len(labels)
+        counted = dataclasses.replace(oracle, query=counting)
+        _assert_same_table(build_truth_table(counted), build_truth_table(oracle))
+        assert asked == []
+        table = build_truth_table(dataclasses.replace(counted, table=None))
+        assert len(asked) == len(set(asked)) == 8 ** len(labels)
         _assert_same_table(table, build_truth_table(oracle))
 
     @pytest.mark.parametrize("seed", range(2))
     def test_reducible_oracle_with_domain_matches_slow_check(self, seed):
-        # a reducible oracle may still declare a domain: it is asked only
-        # reduced triples, and the ones outside its domain are skipped
+        # an oracle that reduces its triples may still declare a domain;
+        # the triples outside it are skipped
         rng = random.Random(300 + seed)
         labels = ("a", "b", "c")
         full = delta_separation_oracle(random_digraph(labels, rng, p=0.5))
@@ -803,7 +850,7 @@ class TestReducibleTableMatchesGenericTable:
                 raise OracleDomainError("out of domain")
             return full.query(a, b, c)
 
-        oracle = IrrelevanceOracle(ground=labels, query=query, overlap_reducible=True)
+        oracle = IrrelevanceOracle(ground=labels, query=query)
         table = build_truth_table(oracle)
         assert not table.all_evaluable
         skipped = 0
@@ -828,7 +875,7 @@ class TestLabelOrder:
         pairs = []
         for order in ("cadb", "dcba", "bdac"):
             full = delta_separation_oracle(random_digraph(tuple("abcd"), rng, p=0.4))
-            shuffled = IrrelevanceOracle(tuple(order), full.query, overlap_reducible=True)
+            shuffled = IrrelevanceOracle(tuple(order), full.query)
             pairs.append((full, shuffled))
         partial = _test_oracles(4)[1]
         pairs.append((partial, IrrelevanceOracle(tuple("dbca"), partial.query)))

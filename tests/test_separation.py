@@ -86,8 +86,7 @@ class TestTrailArrays:
     @pytest.mark.parametrize("n", [5, 6])
     def test_agrees_with_moral_method_on_overlapping_triples(self, n):
         # random mask triples mostly overlap, so the kernel must reduce
-        # them itself, as build_truth_table sends them unreduced when the
-        # oracle is not overlap_reducible
+        # them itself, as delta_trail_masks does
         rng = random.Random(40 + n)
         labels = tuple("abcdef"[:n])
         answers = set()
