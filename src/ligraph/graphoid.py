@@ -132,10 +132,10 @@ class IrrelevanceOracle:
 
     ``table``, if given, answers every triple at once: called with the
     ground's labels in sorted order, it returns bool arrays ``(values,
-    evaluable)`` at the flat indices a*S^2 + b*S + c of all the triples'
-    masks that equal asking ``query`` on each, ``evaluable`` False where
-    it raises OracleDomainError.  A wrapper that changes the answers
-    must replace or drop ``table``.
+    evaluable)`` over the S^3 triples, at the flat index a*S^2 + b*S + c
+    of their masks, equal to asking ``query`` on each, ``evaluable``
+    False where it raises OracleDomainError.  A wrapper that changes the
+    answers must replace or drop ``table``.
     """
 
     ground: tuple[str, ...]
