@@ -36,11 +36,14 @@ directly.  Simulation draws its random numbers in blocks, and refuses a
 horizon whose length times the largest exit rate is above
 MAX_HORIZON_MEAN, before it samples anything.
 
-The module derives the independence graph from the tables (a declared
-dependency whose rows never actually differ is vacuous and produces no
-edge), validates the graph's separation statements numerically through
-conditional-mutual-information decay, and supports exact event-driven
-simulation with occurrence/exposure re-estimation of the rates.
+A declared dependency is a parent of its component when the component's
+rates vary along its axis, one axis at a time, by more than
+RATE_CONSTANCY_RTOL relative to the rates; otherwise it is vacuous.
+Every constancy question reads the parents, found once per spec: the
+derived graph has an edge from each, and sources are locally independent
+of targets when none is a target's parent.  Separation statements are
+also checked through conditional-mutual-information decay, and paths are
+simulated exactly for occurrence/exposure re-estimation.
 
 Rates are homogeneous (time-constant).
 """
@@ -442,7 +445,8 @@ class _Compiled:
     ``cell[name]`` each state's flat index into that table's
     (dependency configuration, own state) cells.  Every state has the
     same m = sum(card - 1) transitions, so ``dst`` and ``rate`` are
-    ``(n_states, m)`` rows in (component, destination) order.
+    ``(n_states, m)`` rows in (component, destination) order.  By name,
+    ``depends_on`` gives declared dependencies and lazy ``parents`` parents.
 
     Each state's total exit rate is kept twice.  ``exit_rate`` is the
     (pairwise) ``sum`` of its ``rate`` row; the decay reports and the
@@ -464,9 +468,11 @@ class _Compiled:
         self.grid = grid = np.stack(np.unravel_index(np.arange(n), space.cards), axis=1)
         self.rates: dict[str, np.ndarray] = {}
         self.cell: dict[str, np.ndarray] = {}
+        self.depends_on: dict[str, tuple[str, ...]] = {}
         dst, rate = [], []
         for ki, (name, card, stride) in enumerate(zip(space.names, space.cards, space.strides)):
             ci = spec.intensities[name]
+            self.depends_on[name] = tuple(ci.depends_on)
             deps = tuple(space.index_of(d) for d in ci.depends_on)
             table = np.zeros(tuple(space.cards[p] for p in deps) + (card, card))
             for r in ci.rows:
@@ -497,6 +503,19 @@ class _Compiled:
         new = self.grid[self.dst, moved]
         return total[:, 0].tolist(), cum.tolist(), self.dst.tolist(), moved.tolist(), new.tolist()
 
+    @functools.cached_property
+    def parents(self) -> dict[str, frozenset[str]]:
+        """Each component's parents, as the module docstring defines them."""
+
+        def varies(rates: np.ndarray, axis: int) -> bool:
+            lo, hi = rates.min(axis=axis), rates.max(axis=axis)
+            return not np.all(hi - lo <= RATE_CONSTANCY_RTOL * np.maximum(abs(lo), abs(hi)))
+
+        return {
+            name: frozenset(d for axis, d in enumerate(deps) if varies(self.rates[name], axis))
+            for name, deps in self.depends_on.items()
+        }
+
 
 # --- constancy checks and graph derivation ------------------------------------
 
@@ -505,17 +524,6 @@ def _compile(spec: CfmpSpec) -> _Compiled:
     """The compiled form of ``spec``, which must be a CfmpSpec; the spec
     is validated on the first call."""
     return _typed(spec, CfmpSpec, "specs must be CfmpSpec instances")._compiled
-
-
-def _constant_in(spec: CfmpSpec, component: str, sources) -> bool:
-    """True iff the component's rates do not vary, up to
-    RATE_CONSTANCY_RTOL, with the states of its declared dependencies in
-    ``sources``."""
-    deps = spec.intensities[component].depends_on
-    axes = tuple(i for i, d in enumerate(deps) if d in sources)
-    rates = spec._compiled.rates[component]
-    lo, hi = rates.min(axis=axes), rates.max(axis=axes)
-    return bool(np.all(hi - lo <= RATE_CONSTANCY_RTOL * np.maximum(abs(lo), abs(hi))))
 
 
 def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> frozenset[str]:
@@ -530,23 +538,20 @@ def _component_set(space: ComponentSpace, names: Iterable[str], what: str) -> fr
 
 
 def component_depends_only_on(spec: CfmpSpec, component: str, keep: Iterable[str]) -> bool:
-    """True iff the component's rate table is constant in every declared
-    dependency outside ``keep`` (i.e. it factors through ``keep``)."""
-    _compile(spec)  # validates the spec, once
+    """True iff every parent of the component is in ``keep``."""
+    parents = _compile(spec).parents
     spec.space.index_of(component)
-    keep = _component_set(spec.space, keep, "keep")
-    return _constant_in(spec, component, set(spec.space.names) - keep)
+    return parents[component] <= _component_set(spec.space, keep, "keep")
 
 
 def is_locally_independent(spec: CfmpSpec, source: str, target: str) -> bool:
-    """True iff the target component's intensity is constant in the
-    source component's state (a declared dependency may still be vacuous)."""
-    _compile(spec)  # validates the spec, once
+    """True iff the source is not a parent of the target."""
+    parents = _compile(spec).parents
     if source == target:
         raise ValueError(f"source and target must differ (got {source!r})")
     spec.space.index_of(source)
     spec.space.index_of(target)
-    return _constant_in(spec, target, (source,))
+    return source not in parents[target]
 
 
 def set_locally_independent(
@@ -555,42 +560,31 @@ def set_locally_independent(
     targets: Iterable[str],
     given: Iterable[str],
 ) -> bool:
-    """True iff every target component's intensity is constant in all the
-    source components' states.  The three sets must be pairwise disjoint
-    and jointly cover every component."""
-    _compile(spec)  # validates the spec, once
+    """True iff no source is a parent of a target.  The three sets must
+    be pairwise disjoint and jointly cover every component."""
+    parents = _compile(spec).parents
     b = _component_set(spec.space, sources, "sources")
     a = _component_set(spec.space, targets, "targets")
     c = _component_set(spec.space, given, "given")
-    names = set(spec.space.names)
-    if (b & a) or (b & c) or (a & c) or (b | a | c) != names:
+    if (b & a) or (b & c) or (a & c) or (b | a | c) != set(spec.space.names):
         raise NonCoveringQueryError(
             "sources, targets and given must partition the component set; "
             "use delta-separation on the derived graph for other queries"
         )
-    return all(_constant_in(spec, j, b) for j in a)
-
-
-def _declared_dependencies(spec: CfmpSpec) -> list[tuple[str, str, bool]]:
-    """Every declared dependency (j, k) with whether it is vacuous."""
-    _compile(spec)  # validates the spec, once
-    return [
-        (j, k, _constant_in(spec, k, (j,)))
-        for k in spec.space.names
-        for j in spec.intensities[k].depends_on
-    ]
+    return all(parents[j].isdisjoint(b) for j in a)
 
 
 def derive_graph(spec: CfmpSpec) -> DiGraph:
-    """Independence graph: edge (j, k) iff k's intensity genuinely varies
-    with j's state.  Vacuous declared dependencies produce no edge."""
-    edges = [(j, k) for j, k, vacuous in _declared_dependencies(spec) if not vacuous]
-    return DiGraph(spec.space.names, edges)
+    """Independence graph: an edge into each component from each of its
+    parents.  Vacuous declared dependencies produce no edge."""
+    parents = _compile(spec).parents
+    return DiGraph(spec.space.names, [(j, k) for k, ps in parents.items() for j in ps])
 
 
 def vacuous_dependencies(spec: CfmpSpec) -> list[tuple[str, str]]:
-    """Declared dependencies whose rate rows never actually differ."""
-    return [(j, k) for j, k, vacuous in _declared_dependencies(spec) if vacuous]
+    """Declared dependencies (j, k) where j is not a parent of k."""
+    comp = _compile(spec)
+    return [(j, k) for k, deps in comp.depends_on.items() for j in deps if j not in comp.parents[k]]
 
 
 # --- generator and transition probabilities ------------------------------------
@@ -780,11 +774,23 @@ class CiDecayReport:
         }
 
 
+def _ladder(hs) -> tuple[float, ...]:
+    """``hs``, real numbers (a bool is not one), finite, at least MIN_H
+    and strictly decreasing, as floats; anything else is a ValueError."""
+    hs = _collection(hs, "window lengths", "sequence of real numbers")
+    if not all(map(_real, hs)) or any(not (MIN_H <= h < math.inf) for h in hs) or any(
+        hs[i] <= hs[i + 1] for i in range(len(hs) - 1)
+    ):
+        raise ValueError(f"window lengths must be real, finite, strictly decreasing and >= {MIN_H}")
+    return tuple(map(float, hs))
+
+
 def classify_decay(hs: Sequence[float], cmis: Sequence[float]) -> tuple[str, tuple[float, ...]]:
     """Decay class from fitted log-log slopes between consecutive rungs:
     "zero" when nothing rises above noise, otherwise "fast" for slopes
-    at or above DECAY_ORDER_SPLIT and "slow" below it.  ``hs`` and
-    ``cmis`` of different lengths are a ValueError."""
+    at or above DECAY_ORDER_SPLIT and "slow" below it.  ``hs`` is read
+    by ``_ladder``, and ``cmis`` of another length is a ValueError."""
+    hs = _ladder(hs)
     if len(hs) != len(cmis):
         raise ValueError(f"{len(hs)} window lengths but {len(cmis)} values")
     orders = []
@@ -814,11 +820,10 @@ def ci_decay(
     nats for each window length h, starting the process from ``pi``.
 
     The conditioning set always includes the target's own time-zero
-    state.  The source must not be in it.  ``hs`` is a sequence of real
-    numbers (a bool is not one), finite, at least MIN_H and strictly
-    decreasing.  Each window's length times the largest exit rate must
-    be at most MAX_WINDOW_MEAN, and the ladder needs at least two
-    windows: the class is a slope between them.
+    state.  The source must not be in it.  ``hs`` is read by ``_ladder``.
+    Each window's length times the largest exit rate must be at most
+    MAX_WINDOW_MEAN, and the ladder needs at least two windows: the
+    class is a slope between them.
 
     P(target at h | state at 0) is computed for every h at once by
     uniformization applied to the n x card_t block of target indicators
@@ -833,12 +838,7 @@ def ci_decay(
     cond = _component_set(space, cond, "cond")
     if source == target or source in cond:
         raise ValueError("source must be outside the conditioning set and target")
-    hs = _collection(hs, "window lengths", "sequence of real numbers")
-    if not all(map(_real, hs)) or any(not (MIN_H <= h < math.inf) for h in hs) or any(
-        hs[i] <= hs[i + 1] for i in range(len(hs) - 1)
-    ):
-        raise ValueError(f"window lengths must be real, finite, strictly decreasing and >= {MIN_H}")
-    hs = tuple(map(float, hs))
+    hs = _ladder(hs)
 
     w_idx = sorted({space.index_of(n) for n in cond} | {t_idx})
     states = comp.grid
@@ -1040,8 +1040,7 @@ def estimate_intensities(
             rates = {t: (cnt / expo if expo > 0 else None) for t, cnt in counts.items()}
             comp_cells[(tuple(given), own)] = CellEstimate(expo, counts, rates)
         cells[name] = comp_cells
-    depends_on = {name: spec.intensities[name].depends_on for name in space.names}
-    return IntensityEstimates(space, depends_on, cells)
+    return IntensityEstimates(space, dict(comp.depends_on), cells)
 
 
 # --- irrelevance oracle ----------------------------------------------------------
@@ -1059,9 +1058,7 @@ def local_independence_oracle(spec: CfmpSpec) -> IrrelevanceOracle:
         except NonCoveringQueryError as exc:
             raise OracleDomainError(str(exc)) from None
 
-    return IrrelevanceOracle(
-        ground=tuple(spec.space.names), query=query, name="local-independence"
-    )
+    return IrrelevanceOracle(spec.space.names, query, "local-independence")
 
 
 # --- JSON wire formats ------------------------------------------------------------

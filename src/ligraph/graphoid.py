@@ -342,21 +342,25 @@ def build_truth_table(oracle: IrrelevanceOracle) -> TruthTable:
     return TruthTable(t, values, evaluable, all_evaluable, words, evaluable_words)
 
 
+def _answer(query, a: frozenset, b: frozenset, c: frozenset) -> bool:
+    """``query(a, b, c)``, asked once; a non-bool answer is a ValueError."""
+    answer = query(a, b, c)
+    if not isinstance(answer, (bool, np.bool_)):
+        raise ValueError(f"answer {answer!r} at {[*map(sorted, (a, b, c))]} is not a bool")
+    return answer
+
+
 def _ask_each(query, labels: list) -> tuple[np.ndarray, np.ndarray]:
     """The table of ``query`` over ``labels``, asked triple by triple in
-    flat index order; an answer that is not a bool is a ValueError."""
+    flat index order by ``_answer``."""
     sets = _tables(tuple(labels)).sets
     values = np.zeros(len(sets) ** 3, dtype=bool)
     evaluable = np.ones_like(values)
     for at, (a, b, c) in enumerate(itertools.product(sets, repeat=3)):
         try:
-            answer = query(a, b, c)
+            values[at] = _answer(query, a, b, c)
         except OracleDomainError:
             evaluable[at] = False
-            continue
-        if not isinstance(answer, (bool, np.bool_)):
-            raise ValueError(f"answer {answer!r} at {[*map(sorted, (a, b, c))]} is not a bool")
-        values[at] = answer
     shape = (len(sets),) * 3
     return values.reshape(shape), evaluable.reshape(shape)
 
@@ -867,10 +871,10 @@ def check_semigraphoid_profile(
 
 
 class _Replay:
-    """Rule backend over frozensets, querying the raw oracle."""
+    """Rule backend over frozensets, asking the raw oracle by ``_answer``."""
 
     def __init__(self, oracle: IrrelevanceOracle):
-        self.q = oracle.query
+        self.q = partial(_answer, oracle.query)
 
     @staticmethod
     def disjoint(*sets: frozenset) -> bool:
@@ -893,9 +897,9 @@ def violates(
     self-check for counterexamples carried by CheckReport.  ``sets``
     maps the property's variable names ("A", "B", ...) to sets; a
     missing name stands for the empty set.  Any other key, a value that
-    is not a collection of labels (a string among them) and a label
-    outside ``oracle.ground`` are each a ValueError.  An
-    OracleDomainError raised by the oracle propagates.
+    is not a collection of labels (a string among them), a label outside
+    ``oracle.ground`` and an answer that is not a bool are each a
+    ValueError.  An OracleDomainError raised by the oracle propagates.
     """
     if prop not in _RULES:
         raise ValueError(f"unknown property: {prop}")

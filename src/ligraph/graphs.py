@@ -58,6 +58,11 @@ def _collection(value, what: str, kind: str = "set of labels", size: int | None 
     raise GraphError(f"{what} must be a {kind}, not {shown}")
 
 
+def _pairs(edges) -> list:
+    edges = _collection(edges, "edges", "collection of pairs")
+    return [_collection(e, "an edge", "pair of labels", 2) for e in edges]
+
+
 def _label_set(value, what: str) -> frozenset:
     """``value``'s members, read by ``_collection``, as a frozenset; a
     member that cannot be hashed, a list say, is the same GraphError."""
@@ -177,10 +182,7 @@ class _Graph:
         out = [0] * len(labels)
         into = [0] * len(labels)
         seen = set()
-        for edge in _collection(edges, "edges", "collection of pairs"):
-            if type(edge) is not tuple or len(edge) != 2:
-                edge = _collection(edge, "an edge", "pair of labels", 2)
-            j, k = edge
+        for j, k in _pairs(edges):
             # a label is a string; anything else is no node, and may not hash
             if not isinstance(j, str) or j not in index:
                 raise UnknownNodeError(j)
@@ -245,11 +247,10 @@ class DiGraph(_Graph):
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()) -> "DiGraph":
-        edges = list(edges)
-        names = list(nodes)
-        known = set(names)
-        endpoints = dict.fromkeys(v for j, k in edges for v in (j, k) if v not in known)
-        return cls(names + list(endpoints), edges)
+        names, edges = list(_collection(nodes, "nodes")), _pairs(edges)
+        known = {n for n in names if isinstance(n, str)}
+        ends = dict.fromkeys(v for e in edges for v in e if isinstance(v, str) and v not in known)
+        return cls(names + list(ends), edges)
 
     def ancestral_mask(self, mask: int) -> int:
         acc = mask

@@ -58,7 +58,7 @@ from ligraph.fixtures import (
     independent_pair_process,
     three_cycle_process,
 )
-from ligraph.graphoid import LOCAL_INDEPENDENCE_GUARANTEES, build_truth_table, check_axiom
+from ligraph.graphoid import Axiom, LOCAL_INDEPENDENCE_GUARANTEES, build_truth_table, check_axiom
 from ligraph.graphs import GraphError, UnknownNodeError
 from ligraph.separation import delta_separates_masks
 
@@ -136,6 +136,20 @@ def with_vacuous_dependency(spec, rng):
                         base[r.given[:axis] + r.given[axis + 1:], r.source, r.target])
                 for r in rows]
     return CfmpSpec(spec.space, {**spec.intensities, k: ComponentIntensity(deps, tuple(rows))})
+
+
+def tolerance_chain_spec():
+    """t depends on a and b with rates 1, 1 + 0.9e-9 and 1 + 1.8e-9 as
+    a + b is 0, 1 and 2: within RATE_CONSTANCY_RTOL along each axis, so
+    both dependencies are vacuous, but not across both axes at once."""
+    flips = [RateRow((), s, 1 - s, 1.0) for s in (0, 1)]
+    rows = [RateRow((a, b), s, 1 - s, 1.0 + 0.9e-9 * (a + b))
+            for a in (0, 1) for b in (0, 1) for s in (0, 1)]
+    return CfmpSpec(ComponentSpace(("a", "b", "t"), (2, 2, 2)), {
+        "a": ComponentIntensity((), tuple(flips)),
+        "b": ComponentIntensity((), tuple(flips)),
+        "t": ComponentIntensity(("a", "b"), tuple(rows)),
+    })
 
 
 def scaled_rates(spec, factor):
@@ -384,6 +398,18 @@ class TestValidation:
             lambda spec, bad: classify_decay((0.1, 0.05), (1e-3, 1e-4, 1e-5)),
             "2 window lengths but 3 values",
             id="classify-long-cmis",
+        ),
+        # a repeated and a negative window: a ZeroDivisionError and a math
+        # domain error, before classify_decay checked its ladder
+        pytest.param(
+            lambda spec, bad: classify_decay((0.1, 0.1), (1.0, 1.0)),
+            "strictly decreasing",
+            id="classify-repeated-window",
+        ),
+        pytest.param(
+            lambda spec, bad: classify_decay((0.1, -0.1), (1.0, 1.0)),
+            "strictly decreasing",
+            id="classify-negative-window",
         ),
     ])
     def test_wrong_argument_types_are_value_errors(self, cycle3_spec, call, message):
@@ -698,7 +724,8 @@ class TestLocalMarkovStructure:
     def test_tables_factor_through_derived_parents(
         self, cycle3_spec, visits_spec, vacuous_spec
     ):
-        for spec in (cycle3_spec, visits_spec, vacuous_spec):
+        # the tolerance chain's t has no parent: it depends on nothing
+        for spec in (cycle3_spec, visits_spec, vacuous_spec, tolerance_chain_spec()):
             g = derive_graph(spec)
             for k in spec.space.names:
                 parents = g.parents({k})
@@ -719,20 +746,25 @@ class TestLocalIndependenceOnRandomSpecs:
     the components, local independence in the tables is delta-separation
     in the derived graph (the Markov property of local independence
     graphs; Didelez, JRSS-B 2008).  Specs with vacuous dependencies are
-    included: derive_graph drops those, and the tables must agree."""
+    included: derive_graph drops those, and the tables must agree.  So
+    is a spec whose dependencies are vacuous one axis at a time but not
+    jointly: a dependency is read one axis at a time everywhere."""
 
     @pytest.fixture(scope="class")
     def specs(self):
         rng = random.Random(7)
         specs = [random_spec(rng) for _ in range(60)]
-        return specs + [with_vacuous_dependency(spec, rng) for spec in specs]
+        specs += [with_vacuous_dependency(spec, rng) for spec in specs]
+        return specs + [tolerance_chain_spec()]
 
     def test_guarantees_hold(self, specs):
-        checked = dict.fromkeys(LOCAL_INDEPENDENCE_GUARANTEES, 0)
+        # a covering triple holds when no source is a target's parent, so
+        # two source sets that each hold hold together: left intersection
+        checked = dict.fromkeys((*LOCAL_INDEPENDENCE_GUARANTEES, Axiom.LEFT_INTERSECTION), 0)
         for spec in specs:
             oracle = local_independence_oracle(spec)
             table = build_truth_table(oracle)
-            for ax in LOCAL_INDEPENDENCE_GUARANTEES:
+            for ax in checked:
                 report = check_axiom(oracle, ax, table)
                 assert report.holds, (spec, report)
                 checked[ax] += report.checked

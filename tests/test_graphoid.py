@@ -163,6 +163,23 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=message):
             check_axiom(oracle, Axiom.LEFT_REDUNDANCY)
 
+    @pytest.mark.parametrize("answer", ["no", None, 0, 1.0, np.array([True])])
+    def test_violates_answers_must_be_bools(self, answer):
+        # the replay asks the oracle itself: "no" would read as true, so a
+        # left redundancy violation at A = {a} would be no violation
+        asked = []
+
+        def query(a, b, c):
+            asked.append((a, b, c))
+            return answer if a else True
+
+        oracle = dataclasses.replace(constant_oracle(("a", "b")), query=query)
+        message = r"answer .* at \[\['a'\], \[\], \['a'\]\] is not a bool"
+        with pytest.raises(ValueError, match=message):
+            violates(oracle, Axiom.LEFT_REDUNDANCY, {"A": frozenset("a")})
+        # the check asks the query once
+        assert asked == [(frozenset("a"), frozenset(), frozenset("a"))]
+
     @pytest.mark.parametrize("answer", [True, False, np.True_, np.False_])
     def test_bool_answers_are_read_as_given(self, answer):
         table = build_truth_table(IrrelevanceOracle(("a", "b"), lambda a, b, c: answer))

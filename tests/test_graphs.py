@@ -82,6 +82,21 @@ class TestConstruction:
         with pytest.raises(UnknownNodeError, match=r"unknown node: (\['a'\]|\{'x': 1\})"):
             call()
 
+    # from_edges reads its nodes and edges as the constructor does: a
+    # string was read as its characters, and the rest were tracebacks
+    @pytest.mark.parametrize("args, error, match", [
+        (([("a", "b")], "cd"), GraphError, "nodes .* the string 'cd'"),
+        (([("a", "b")], 5), GraphError, "nodes .* not 5"),
+        (([(["a"], "b")],), UnknownNodeError, r"unknown node: \['a'\]"),
+        (([("a", "b")], [["c"]]), GraphError, "label must be a string"),
+        (("ab",), GraphError, "edges .* the string 'ab'"),
+        (([("a", "b", "c")],), GraphError, "edge must be a pair"),
+    ])
+    def test_from_edges_reads_its_arguments_like_the_constructor(self, args, error, match):
+        with pytest.raises(error, match=match) as caught:
+            DiGraph.from_edges(*args)
+        assert "\n" not in str(caught.value)
+
     def test_takes_any_collection_of_labels(self):
         g = DiGraph(("a", "b"), {("a", "b")})
         assert g.parents(x for x in ["b"]) == {"a"}
